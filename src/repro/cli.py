@@ -733,8 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra attempts for a shard whose fleet "
                         "raised")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-target watchdog deadline (needs "
-                        "--jobs >= 2)")
+                   help="per-target watchdog deadline; a hung "
+                        "target is killed and retried at any --jobs")
     p.add_argument("--max-tenant-failures", type=int, default=None,
                    metavar="N",
                    help="failed shards a tenant may accumulate "

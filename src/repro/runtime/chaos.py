@@ -318,13 +318,14 @@ def apply_service_fault(plan: ServiceFaultPlan,
     realises the service-level failure:
 
     * ``kill-daemon`` -> a ``"crash"`` fault.  Under the daemon's
-      in-process shard execution (``jobs=1``) the ``os._exit`` takes
-      the whole daemon down mid-shard - the moral equivalent of a
-      SIGKILL between two checkpoint appends, and exactly as
-      deterministic as the seed.
+      in-process shard execution (``jobs=1``, no ``timeout_s``) the
+      ``os._exit`` takes the whole daemon down mid-shard - the moral
+      equivalent of a SIGKILL between two checkpoint appends, and
+      exactly as deterministic as the seed.
     * ``hang-shard`` -> a ``"hang"`` fault: the target sleeps past
-      the shard watchdog (requires the daemon to run shards with
-      ``jobs >= 2``, where ``run_fleet``'s watchdog can kill it).
+      the shard watchdog.  A daemon with ``timeout_s`` runs every
+      target in a killable child process at any ``jobs``, so
+      ``run_fleet``'s watchdog kills it within ``timeout_s + 1`` s.
     * ``corrupt-queue`` targets the journal file, not a spec - use
       :func:`corrupt_queue_record`; the specs pass through unwrapped.
 

@@ -1,9 +1,8 @@
 """Fleet-campaign execution engine.
 
 :func:`run_fleet` runs a list of :class:`~repro.runtime.specs.CampaignSpec`
-targets either serially (``jobs <= 1``) or across a
-``ProcessPoolExecutor`` (``jobs > 1``), and guarantees that the two
-paths produce **identical** outcomes:
+targets through one scheduling loop and guarantees that every ``jobs``
+setting produces **identical** outcomes:
 
 * every target's randomness comes from seeds embedded in its spec, so
   scheduling order cannot leak into results;
@@ -12,6 +11,11 @@ paths produce **identical** outcomes:
 * per-target statistics travel back with the outcome and are merged
   with :meth:`repro.dram.controller.TestStats.merge`, so the fleet's
   aggregate counters match a serial run exactly.
+
+The loop's only choice is where targets execute: in killable child
+processes (a ``ProcessPoolExecutor``) whenever ``timeout_s`` is set or
+more than one target runs at a time, and in the calling process only
+when there is no deadline and capacity is 1 - nothing to kill.
 
 On top of that sits the resilience layer
 (:mod:`repro.runtime.resilience`):
@@ -25,8 +29,9 @@ On top of that sits the resilience layer
   the journal instead of re-running them, and ``resume="verify"``
   re-runs them and requires byte-identical signatures (catching
   silently corrupted results);
-* **deadlines** - with ``timeout_s=...`` a hung worker is killed (or,
-  serially, interrupted via ``SIGALRM``) and the target retried;
+* **deadlines** - with ``timeout_s=...`` a watchdog SIGKILLs the child
+  process of a target that overruns and the target is retried; this
+  works from any thread and at any ``jobs``;
 * **graceful degradation** - with ``strict=False`` a target that
   exhausts its budget becomes a :class:`TargetError` on the result
   instead of aborting the fleet (bounded by ``max_failures``);
@@ -57,8 +62,7 @@ from .. import obs
 from ..dram.controller import TestStats
 from .resilience import (DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_CAP,
                          CheckpointJournal, CheckpointMismatch,
-                         TargetError, TargetTimeout, backoff_delay,
-                         deadline)
+                         TargetError, TargetTimeout, backoff_delay)
 from .specs import CampaignOutcome, CampaignSpec
 
 __all__ = ["FleetResult", "FleetExecutionError", "run_fleet"]
@@ -146,8 +150,8 @@ def _execute_target(spec: CampaignSpec,
                     started_path: Optional[str] = None) -> CampaignOutcome:
     """Worker entry point; must stay module-level for pickling.
 
-    ``started_path`` is the parallel watchdog's start marker: touching
-    it proves this submission actually began executing, so an expired
+    ``started_path`` is the watchdog's start marker: touching it
+    proves this submission actually began executing, so an expired
     deadline can be attributed to the target rather than to a worker
     that never got scheduled.
     """
@@ -160,26 +164,51 @@ def _execute_target(spec: CampaignSpec,
     return spec.run()
 
 
-@contextmanager
-def _cow_friendly_fork() -> Iterator[None]:
-    """Freeze the gc heap while worker processes are forked.
+class _InlineExecutor:
+    """Capacity-1 executor running each submission in this process.
 
-    On fork-start platforms every tracked object the parent holds is
-    shared copy-on-write with the workers; the first collection in a
-    worker touches all of their headers and copies the pages.  Parking
-    the parent's heap in the permanent generation for the duration of
-    the pool keeps forked workers from un-sharing it.
+    Used only when nothing could ever need killing (no deadline, one
+    target at a time); ``submit`` runs the target to completion and
+    returns an already-settled future, so the scheduling loop treats
+    it exactly like a pool.  Only ``Exception`` is captured: an
+    interrupt propagates as it would from any in-process call.
     """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - settled on the future
+            future.set_exception(exc)
+        return future
+
+
+@contextmanager
+def _executor(killable: bool, capacity: int) -> Iterator[object]:
+    """The executor one scheduling round runs on.
+
+    Killable rounds fork a ``ProcessPoolExecutor`` with the gc heap
+    frozen: on fork-start platforms every tracked object the parent
+    holds is shared copy-on-write with the workers, and the first
+    collection in a worker would touch all of their headers and copy
+    the pages.  ``obs.detach`` keeps forked workers from recording into
+    the parent session's inherited (and discarded) copy.
+    """
+    if not killable:
+        yield _InlineExecutor()
+        return
     gc.collect()
     gc.freeze()
     try:
-        yield
+        with ProcessPoolExecutor(max_workers=capacity,
+                                 initializer=obs.detach) as pool:
+            yield pool
     finally:
         gc.unfreeze()
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL every pool worker (the parallel-path watchdog's hammer).
+def _kill_pool(pool: object) -> None:
+    """SIGKILL every pool worker (the watchdog's hammer).
 
     Outstanding futures settle with ``BrokenProcessPool``; the caller
     decides who gets charged.  Reaches into ``_processes`` because the
@@ -190,21 +219,52 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         process.kill()
 
 
+def _take_eligible(queue: List[int], gates: Dict[int, float]
+                   ) -> Optional[int]:
+    """Pop the first queued target whose backoff gate has passed."""
+    now = time.monotonic()
+    for position, i in enumerate(queue):
+        if gates.get(i, 0.0) <= now:
+            return queue.pop(position)
+    return None
+
+
+@dataclass
+class _Flight:
+    """One submitted execution: its target, start time and marker."""
+
+    index: int
+    submitted: float
+    marker: Optional[str]
+
+    def started(self) -> bool:
+        return os.path.exists(self.marker)
+
+
 class _FleetRun:
-    """Bookkeeping shared by the serial and parallel paths.
+    """The fleet's whole state machine, driven by one scheduling loop.
 
     Owns the per-target attempt ledger, the checkpoint journal, the
-    degraded-mode error list, and the charge/complete/fail state
-    machine, so the two execution strategies differ only in *how* they
-    execute targets, never in how failures are accounted.
+    degraded-mode error list, the ready and isolation queues with
+    their backoff gates, and the watchdog's start markers and stall
+    passes.  The only choice :meth:`execute` makes is *where* targets
+    run, taken from the inputs alone:
+
+    * in killable child processes whenever a deadline is set or
+      capacity exceeds 1, so the watchdog can SIGKILL a hung target
+      from any thread;
+    * in the calling process only with no deadline and capacity 1,
+      because then there is nothing to kill.
     """
 
-    def __init__(self, specs: Sequence[CampaignSpec], retries: int,
-                 timeout_s: Optional[float], strict: bool,
+    def __init__(self, specs: Sequence[CampaignSpec], capacity: int,
+                 retries: int, timeout_s: Optional[float], strict: bool,
                  max_failures: Optional[int],
                  journal: Optional[CheckpointJournal], verify: bool,
                  backoff_base: float, backoff_cap: float) -> None:
         self.specs = specs
+        self.capacity = capacity
+        self.killable = bool(timeout_s) or capacity > 1
         self.retries = retries
         self.timeout_s = timeout_s
         self.strict = strict
@@ -218,6 +278,19 @@ class _FleetRun:
         self.attempts: Dict[int, int] = {i: 0 for i in range(len(specs))}
         self.attempts_total = 0
         self.checkpoint_hits = 0
+        self.ready: List[int] = []
+        # Targets implicated in an ambiguous pool break are re-run one
+        # at a time: a crash with a single target in flight has an
+        # unambiguous culprit, so only repeat-crashers are ever charged.
+        self.isolate: List[int] = []
+        self.gates: Dict[int, float] = {}
+        # Start markers: per-submission files a worker touches before
+        # it runs the target, so an expired deadline can distinguish
+        # "the target hung" from "the worker never started" (slow fork
+        # under load).  Only started executions are charged a timeout.
+        self.marker_dir: Optional[str] = None
+        self.marker_seq = 0
+        self.stall_passes: Dict[int, int] = {}
 
     def load_checkpointed(self) -> List[int]:
         """Restore journaled targets; return the indices left to run.
@@ -237,11 +310,7 @@ class _FleetRun:
                 remaining.append(i)
         return remaining
 
-    def launch(self) -> None:
-        """Count one execution start (submission or serial attempt)."""
-        self.attempts_total += 1
-
-    def charge(self, i: int) -> int:
+    def charge(self, i: int) -> None:
         """Charge one budgeted attempt against target ``i``.
 
         Called only for executions whose fate is attributable to the
@@ -250,7 +319,6 @@ class _FleetRun:
         charged.
         """
         self.attempts[i] += 1
-        return self.attempts[i]
 
     def complete(self, i: int, outcome: CampaignOutcome) -> None:
         """Verify against the journal, record, and store an outcome."""
@@ -263,24 +331,20 @@ class _FleetRun:
             self.journal.record(spec, outcome)
         self.outcomes[i] = outcome
 
-    def note_failure(self, i: int, exc: BaseException,
-                     kind: str) -> bool:
-        """Record a charged failed attempt; True if it may retry."""
+    def fail(self, i: int, exc: BaseException, kind: str,
+             queue: List[int]) -> None:
+        """Record a charged failed attempt; requeue it onto ``queue``
+        behind its backoff gate while budget remains."""
         spec = self.specs[i]
-        if kind == "timeout":
-            obs.event("fleet.timeout", target=spec.label(),
-                      attempt=self.attempts[i],
-                      timeout_s=self.timeout_s)
-            obs.inc("proc.fleet.timeouts")
-        elif kind == "corrupt":
-            obs.event("fleet.corrupt", target=spec.label(),
-                      attempt=self.attempts[i])
-            obs.inc("proc.fleet.corrupt_outcomes")
         if self.attempts[i] <= self.retries:
             obs.event("fleet.retry", target=spec.label(),
                       attempt=self.attempts[i], error=repr(exc))
             obs.inc("proc.fleet.retries")
-            return True
+            self.gates[i] = time.monotonic() + backoff_delay(
+                spec, self.attempts[i], self.backoff_base,
+                self.backoff_cap)
+            queue.append(i)
+            return
         if self.strict:
             raise FleetExecutionError(spec, self.attempts[i], exc)
         self.errors.append(TargetError(
@@ -292,247 +356,194 @@ class _FleetRun:
         if (self.max_failures is not None
                 and len(self.errors) > self.max_failures):
             raise FleetExecutionError(spec, self.attempts[i], exc)
-        return False
 
-    def retry_delay(self, i: int) -> float:
-        return backoff_delay(self.specs[i], self.attempts[i],
-                             self.backoff_base, self.backoff_cap)
-
-    def result(self, jobs: int) -> FleetResult:
+    def result(self) -> FleetResult:
         ordered = [self.outcomes[i] for i in sorted(self.outcomes)]
-        return FleetResult(outcomes=ordered, jobs=jobs,
+        return FleetResult(outcomes=ordered, jobs=self.capacity,
                            attempts=self.attempts_total,
                            errors=list(self.errors),
                            checkpoint_hits=self.checkpoint_hits)
 
+    # -- the scheduling loop ----------------------------------------------
 
-def _run_serial(run: _FleetRun) -> FleetResult:
-    for i in run.load_checkpointed():
-        spec = run.specs[i]
-        while True:
-            run.launch()
-            run.charge(i)
-            kind = "exception"
+    def execute(self) -> FleetResult:
+        """Run every target not restored from the journal."""
+        self.ready = self.load_checkpointed()
+        if self.timeout_s:
+            self.marker_dir = tempfile.mkdtemp(prefix="repro-fleet-start-")
+        try:
+            while self.ready or self.isolate:
+                if self.isolate:
+                    self._round(self.isolate, 1)
+                else:
+                    self._round(self.ready, self.capacity)
+        finally:
+            if self.marker_dir is not None:
+                shutil.rmtree(self.marker_dir, ignore_errors=True)
+        return self.result()
+
+    def _round(self, queue: List[int], capacity: int) -> None:
+        """Drain ``queue`` on one executor, or stop when it breaks."""
+        in_flight: Dict[Future, _Flight] = {}
+        with _executor(self.killable, capacity) as pool:
             try:
-                with deadline(run.timeout_s):
-                    outcome = _execute_target(spec)
-                run.complete(i, outcome)
-                break
-            except TargetTimeout as exc:
-                error: BaseException = exc
-                kind = "timeout"
-            except CheckpointMismatch as exc:
-                error = exc
-                kind = "corrupt"
-            except Exception as exc:  # noqa: BLE001 - retried below
-                error = exc
-            if not run.note_failure(i, error, kind):
-                break
-            delay = run.retry_delay(i)
-            if delay > 0:
-                time.sleep(delay)
-    return run.result(jobs=1)
-
-
-def _take_eligible(queue: List[int], gates: Dict[int, float]
-                   ) -> Optional[int]:
-    """Pop the first queued target whose backoff gate has passed."""
-    now = time.monotonic()
-    for position, i in enumerate(queue):
-        if gates.get(i, 0.0) <= now:
-            return queue.pop(position)
-    return None
-
-
-def _run_parallel(run: _FleetRun, jobs: int) -> FleetResult:
-    ready: List[int] = run.load_checkpointed()
-    # Targets implicated in an ambiguous pool break are re-run one at
-    # a time: a crash with a single target in flight has an
-    # unambiguous culprit, so only repeat-crashers are ever charged.
-    isolate: List[int] = []
-    gates: Dict[int, float] = {}
-    # Start markers: per-submission files a worker touches before it
-    # runs the target, so an expired deadline can distinguish "the
-    # target hung" from "the worker never started" (slow fork under
-    # load).  Only started executions are charged a timeout.
-    marker_dir = tempfile.mkdtemp(prefix="repro-fleet-start-")
-    stall_passes: Dict[int, int] = {}
-
-    def requeue(i: int, queue: List[int]) -> None:
-        gates[i] = time.monotonic() + run.retry_delay(i)
-        queue.append(i)
-
-    try:
-        _run_parallel_loop(run, jobs, ready, isolate, gates, requeue,
-                           marker_dir, stall_passes)
-    finally:
-        shutil.rmtree(marker_dir, ignore_errors=True)
-    return run.result(jobs=jobs)
-
-
-def _run_parallel_loop(run: _FleetRun, jobs: int, ready: List[int],
-                       isolate: List[int], gates: Dict[int, float],
-                       requeue, marker_dir: str,
-                       stall_passes: Dict[int, int]) -> None:
-    marker_seq = 0
-    while ready or isolate:
-        isolating = bool(isolate)
-        queue = isolate if isolating else ready
-        capacity = 1 if isolating else jobs
-        # obs.detach keeps fork-started workers from recording into
-        # the parent session's inherited (and discarded) copy.
-        with _cow_friendly_fork(), \
-                ProcessPoolExecutor(max_workers=capacity,
-                                    initializer=obs.detach) as pool:
-            in_flight: Dict[Future, int] = {}
-            expiry: Dict[Future, float] = {}
-            markers: Dict[Future, str] = {}
-            broke = False
-            try:
-                while (queue or in_flight) and not broke:
-                    while queue and len(in_flight) < capacity:
-                        i = _take_eligible(queue, gates)
-                        if i is None:
-                            break
-                        gates.pop(i, None)
-                        marker = None
-                        if run.timeout_s:
-                            marker_seq += 1
-                            marker = os.path.join(
-                                marker_dir, f"{marker_seq}.started")
-                        future = pool.submit(_execute_target,
-                                             run.specs[i], marker)
-                        run.launch()
-                        in_flight[future] = i
-                        if run.timeout_s:
-                            expiry[future] = (time.monotonic()
-                                              + run.timeout_s)
-                            markers[future] = marker
-                        obs.event("fleet.submit",
-                                  target=run.specs[i].label())
+                while queue or in_flight:
+                    self._submit(pool, queue, capacity, in_flight)
                     if not in_flight:
                         # Everything runnable is behind a backoff
                         # gate; sleep until the earliest one opens.
-                        wake = min(gates[i] for i in queue)
+                        wake = min(self.gates[i] for i in queue)
                         time.sleep(max(0.0, wake - time.monotonic()))
                         continue
-                    timeout = None
-                    if expiry:
-                        timeout = max(0.0, min(expiry.values())
-                                      - time.monotonic())
-                    gated = [gates[i] for i in queue if i in gates]
-                    if gated and len(in_flight) < capacity:
-                        wake = max(0.0, min(gated) - time.monotonic())
-                        timeout = wake if timeout is None \
-                            else min(timeout, wake)
-                    done, _ = wait(set(in_flight), timeout=timeout,
+                    done, _ = wait(set(in_flight),
+                                   timeout=self._next_wake(
+                                       queue, capacity, in_flight),
                                    return_when=FIRST_COMPLETED)
-                    crashed: List[int] = []
-                    crash_exc: Optional[BaseException] = None
-                    for future in done:
-                        i = in_flight.pop(future)
-                        expiry.pop(future, None)
-                        done_marker = markers.pop(future, None)
-                        if done_marker is not None:
-                            try:
-                                os.unlink(done_marker)
-                            except OSError:
-                                pass
-                        try:
-                            outcome = future.result()
-                        except BrokenProcessPool as exc:
-                            crashed.append(i)
-                            crash_exc = exc
-                            continue
-                        except Exception as exc:  # noqa: BLE001
-                            run.charge(i)
-                            if run.note_failure(i, exc, "exception"):
-                                requeue(i, ready)
-                            continue
-                        run.charge(i)
-                        try:
-                            run.complete(i, outcome)
-                            obs.event("fleet.done",
-                                      target=run.specs[i].label(),
-                                      attempt=run.attempts[i])
-                        except CheckpointMismatch as exc:
-                            if run.note_failure(i, exc, "corrupt"):
-                                requeue(i, ready)
-                    if crashed:
-                        broke = True
-                        casualties = sorted(crashed
-                                            + list(in_flight.values()))
-                        in_flight.clear()
-                        expiry.clear()
-                        markers.clear()
-                        obs.inc("proc.fleet.pool_rebuilds")
-                        if len(casualties) == 1:
-                            # Alone in flight: unambiguous crasher.
-                            i = casualties[0]
-                            run.charge(i)
-                            if run.note_failure(i, crash_exc, "crash"):
-                                requeue(i, isolate)
-                        else:
-                            # Ambiguous: requeue everyone uncharged,
-                            # isolated so the next crash convicts.
-                            isolate.extend(casualties)
-                        continue
-                    if expiry:
-                        now = time.monotonic()
-                        expired = [f for f, t in expiry.items()
-                                   if t <= now]
-                        if expired:
-                            # Watchdog: the executor cannot cancel a
-                            # running task, so kill the workers and
-                            # rebuild.  Only the overdue targets are
-                            # charged; co-killed ones requeue free.
-                            # An overdue submission whose start marker
-                            # was never touched provably never began
-                            # executing (slow fork under machine
-                            # load) - that is not the target's fault,
-                            # so it requeues uncharged, up to
-                            # MAX_STALL_PASSES times.
-                            _kill_pool(pool)
-                            broke = True
-                            obs.inc("proc.fleet.pool_rebuilds")
-                            overdue: List[int] = []
-                            stalled: List[int] = []
-                            for f in expired:
-                                i = in_flight.pop(f)
-                                marker = markers.pop(f, None)
-                                started = (marker is None
-                                           or os.path.exists(marker))
-                                if (started or stall_passes.get(i, 0)
-                                        >= MAX_STALL_PASSES):
-                                    overdue.append(i)
-                                else:
-                                    stall_passes[i] = \
-                                        stall_passes.get(i, 0) + 1
-                                    stalled.append(i)
-                            survivors = sorted(in_flight.values())
-                            in_flight.clear()
-                            expiry.clear()
-                            markers.clear()
-                            for i in sorted(overdue):
-                                run.charge(i)
-                                timeout_exc = TargetTimeout(
-                                    run.timeout_s)
-                                if run.note_failure(i, timeout_exc,
-                                                    "timeout"):
-                                    requeue(i, ready)
-                            for i in sorted(stalled):
-                                obs.event(
-                                    "fleet.stalled_start",
-                                    target=run.specs[i].label(),
-                                    passes=stall_passes[i])
-                                obs.inc("proc.fleet.stalled_starts")
-                            ready.extend(sorted(stalled))
-                            ready.extend(survivors)
+                    if (self._settle(done, in_flight)
+                            or self._watchdog(pool, in_flight)):
+                        return
             except BaseException:
                 # Strict failure or interrupt: do not let pool
                 # shutdown block on a worker that may be hung.
                 _kill_pool(pool)
                 raise
+
+    def _submit(self, pool, queue: List[int], capacity: int,
+                in_flight: Dict[Future, _Flight]) -> None:
+        # Never more submissions than workers: every submitted target
+        # is executing, so its deadline is meaningful.
+        while queue and len(in_flight) < capacity:
+            i = _take_eligible(queue, self.gates)
+            if i is None:
+                return
+            self.gates.pop(i, None)
+            marker = None
+            if self.marker_dir is not None:
+                self.marker_seq += 1
+                marker = os.path.join(self.marker_dir,
+                                      f"{self.marker_seq}.started")
+            submitted = time.monotonic()
+            future = pool.submit(_execute_target, self.specs[i], marker)
+            self.attempts_total += 1
+            in_flight[future] = _Flight(i, submitted, marker)
+            if self.killable:
+                obs.event("fleet.submit", target=self.specs[i].label())
+
+    def _next_wake(self, queue: List[int], capacity: int,
+                   in_flight: Dict[Future, _Flight]) -> Optional[float]:
+        """Seconds until the earliest deadline or open backoff gate."""
+        timeout = None
+        if self.timeout_s:
+            first = min(f.submitted for f in in_flight.values())
+            timeout = max(0.0, first + self.timeout_s - time.monotonic())
+        gated = [self.gates[i] for i in queue if i in self.gates]
+        if gated and len(in_flight) < capacity:
+            wake = max(0.0, min(gated) - time.monotonic())
+            timeout = wake if timeout is None else min(timeout, wake)
+        return timeout
+
+    def _settle(self, done, in_flight: Dict[Future, _Flight]) -> bool:
+        """Account for finished futures; True if the pool broke."""
+        crashed: List[int] = []
+        crash_exc: Optional[BaseException] = None
+        for future in done:
+            flight = in_flight.pop(future)
+            i = flight.index
+            if flight.marker is not None:
+                try:
+                    os.unlink(flight.marker)
+                except OSError:
+                    pass
+            try:
+                outcome = future.result()
+            except BrokenProcessPool as exc:
+                crashed.append(i)
+                crash_exc = exc
+                continue
+            except Exception as exc:  # noqa: BLE001 - retried
+                self.charge(i)
+                self.fail(i, exc, "exception", self.ready)
+                continue
+            self.charge(i)
+            try:
+                self.complete(i, outcome)
+            except CheckpointMismatch as exc:
+                obs.event("fleet.corrupt", target=self.specs[i].label(),
+                          attempt=self.attempts[i])
+                obs.inc("proc.fleet.corrupt_outcomes")
+                self.fail(i, exc, "corrupt", self.ready)
+                continue
+            if self.killable:
+                obs.event("fleet.done", target=self.specs[i].label(),
+                          attempt=self.attempts[i])
+        if not crashed:
+            return False
+        casualties = sorted(crashed
+                            + [f.index for f in in_flight.values()])
+        in_flight.clear()
+        obs.inc("proc.fleet.pool_rebuilds")
+        if len(casualties) == 1:
+            # Alone in flight: unambiguous crasher.
+            self.charge(casualties[0])
+            self.fail(casualties[0], crash_exc, "crash", self.isolate)
+        else:
+            # Ambiguous: requeue everyone uncharged, isolated so the
+            # next crash convicts.
+            self.isolate.extend(casualties)
+        return True
+
+    def _watchdog(self, pool, in_flight: Dict[Future, _Flight]) -> bool:
+        """Kill the workers if a submission is overdue; True if so.
+
+        The executor cannot cancel a running task, so the watchdog
+        kills every worker and the next round rebuilds the pool.  Only
+        the overdue targets are charged; co-killed ones requeue free.
+        An overdue submission whose start marker was never touched
+        provably never began executing (slow fork under machine load)
+        - that is not the target's fault, so it requeues uncharged, up
+        to MAX_STALL_PASSES times.
+        """
+        if not self.timeout_s:
+            return False
+        now = time.monotonic()
+        expired = [f for f, flight in in_flight.items()
+                   if flight.submitted + self.timeout_s <= now]
+        if not expired:
+            return False
+        _kill_pool(pool)
+        killed = time.monotonic()
+        obs.inc("proc.fleet.pool_rebuilds")
+        overdue: List[_Flight] = []
+        stalled: List[int] = []
+        for future in expired:
+            flight = in_flight.pop(future)
+            i = flight.index
+            if (flight.started()
+                    or self.stall_passes.get(i, 0) >= MAX_STALL_PASSES):
+                overdue.append(flight)
+            else:
+                self.stall_passes[i] = self.stall_passes.get(i, 0) + 1
+                stalled.append(i)
+        survivors = sorted(f.index for f in in_flight.values())
+        in_flight.clear()
+        for flight in sorted(overdue, key=lambda f: f.index):
+            i = flight.index
+            self.charge(i)
+            latency_ms = (killed - flight.submitted) * 1e3
+            obs.event("fleet.timeout", target=self.specs[i].label(),
+                      attempt=self.attempts[i], timeout_s=self.timeout_s,
+                      kill_latency_ms=latency_ms)
+            obs.inc("proc.fleet.timeouts")
+            obs.observe("proc.fleet.kill_latency_ms", latency_ms)
+            self.fail(i, TargetTimeout(self.timeout_s), "timeout",
+                      self.ready)
+        for i in sorted(stalled):
+            obs.event("fleet.stalled_start", target=self.specs[i].label(),
+                      passes=self.stall_passes[i])
+            obs.inc("proc.fleet.stalled_starts")
+        self.ready.extend(sorted(stalled))
+        self.ready.extend(survivors)
+        return True
 
 
 def run_fleet(targets: Sequence[CampaignSpec], jobs: int = 1,
@@ -549,13 +560,14 @@ def run_fleet(targets: Sequence[CampaignSpec], jobs: int = 1,
 
     Args:
         targets: campaign specs to execute.
-        jobs: worker processes; ``jobs <= 1`` (or a single target)
-            runs everything in the calling process.
+        jobs: targets executed at a time, capped at ``len(targets)``.
+            Capacity 1 without ``timeout_s`` runs everything in the
+            calling process; otherwise targets run in child processes.
         retries: extra attempts granted to a failing target before it
             is declared failed.
-        timeout_s: per-target deadline; a worker exceeding it is
-            killed (serial path: interrupted via ``SIGALRM``) and the
-            target charged a ``timeout`` attempt.  ``None`` disables
+        timeout_s: per-target deadline; a target exceeding it has its
+            child process killed (from any thread, at any ``jobs``)
+            and is charged a ``timeout`` attempt.  ``None`` disables
             the watchdog.
         strict: with ``True`` (default) the first target to exhaust
             its budget raises :class:`FleetExecutionError`; with
@@ -600,17 +612,15 @@ def run_fleet(targets: Sequence[CampaignSpec], jobs: int = 1,
     journal = (CheckpointJournal(checkpoint, resume=bool(resume),
                                  fsync=checkpoint_fsync)
                if checkpoint else None)
-    run = _FleetRun(specs, retries=retries, timeout_s=timeout_s,
+    run = _FleetRun(specs, capacity=max(1, min(jobs, len(specs))),
+                    retries=retries, timeout_s=timeout_s,
                     strict=strict, max_failures=max_failures,
                     journal=journal, verify=(resume == "verify"),
                     backoff_base=backoff_base, backoff_cap=backoff_cap)
     try:
         with obs.span("fleet", targets=len(specs),
                       jobs=jobs) as fleet_span:
-            if jobs <= 1 or len(specs) == 1:
-                result = _run_serial(run)
-            else:
-                result = _run_parallel(run, min(jobs, len(specs)))
+            result = run.execute()
             fleet_span.set(attempts=result.attempts)
     finally:
         # Journaled progress survives any exit - including interrupts

@@ -1,4 +1,4 @@
-"""Fault tolerance for fleet campaigns: checkpoints, deadlines, backoff.
+"""Fault tolerance for fleet campaigns: checkpoints, backoff, degradation.
 
 Long fleet campaigns (the paper tests 144 chips) must survive partial
 failure: a killed process, a hung worker, or an exhausted retry budget
@@ -15,9 +15,10 @@ provides the pieces :func:`repro.runtime.fleet.run_fleet` composes:
 * :func:`backoff_delay` - exponential backoff whose jitter comes from
   the SHA-256 seed ladder, so retry timing is itself a deterministic
   function of (spec identity, attempt number).
-* :func:`deadline` - a ``SIGALRM``-based per-target deadline for the
-  serial path (the parallel path's watchdog kills worker processes
-  instead); exceeding it raises :class:`TargetTimeout`.
+* :class:`TargetTimeout` - the failure a target is charged when
+  :func:`~repro.runtime.fleet.run_fleet`'s watchdog kills its child
+  process past ``timeout_s`` (the only deadline mechanism; it works
+  from any thread).
 * :class:`TargetError` / :func:`render_degraded` - the per-target
   failure records a non-strict fleet carries instead of aborting, and
   the table that reports them.
@@ -29,12 +30,9 @@ import base64
 import json
 import os
 import pickle
-import signal
-import threading
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from .seeds import ladder_seed
 
@@ -43,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "CheckpointJournal", "CheckpointMismatch", "TargetError",
-    "TargetTimeout", "backoff_delay", "deadline", "render_degraded",
+    "TargetTimeout", "backoff_delay", "render_degraded",
 ]
 
 CHECKPOINT_SCHEMA = 1
@@ -111,36 +109,6 @@ def backoff_delay(spec: "CampaignSpec", attempt: int,
     return min(cap, base * (2 ** (attempt - 1)) * (0.5 + jitter))
 
 
-# -- serial-path deadline -------------------------------------------------
-
-
-@contextmanager
-def deadline(timeout_s: Optional[float]) -> Iterator[None]:
-    """Raise :class:`TargetTimeout` if the block runs past the deadline.
-
-    Uses ``SIGALRM``/``setitimer``, so it only arms on platforms that
-    have it and only from the main thread; elsewhere it is a no-op
-    (the parallel path enforces deadlines by killing workers and never
-    needs this).  ``None`` or non-positive timeouts disable it.
-    """
-    if (not timeout_s or timeout_s <= 0
-            or not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        yield
-        return
-
-    def _expired(signum: int, frame: Any) -> None:
-        raise TargetTimeout(timeout_s)
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # -- checkpoint journal ---------------------------------------------------
 
 
@@ -187,30 +155,14 @@ class CheckpointJournal:
         self.fsync = fsync
         self._entries: Dict[str, Dict[str, Any]] = {}
         if resume and os.path.exists(path):
-            self._read_existing()
+            # A later record for the same key wins.
+            for record in self.read(path):
+                self._entries[record["key"]] = record
             self._fh: Optional[Any] = open(path, "a")
         else:
             self._fh = open(path, "w")
             self._append({"kind": "checkpoint",
                           "schema": CHECKPOINT_SCHEMA})
-
-    def _read_existing(self) -> None:
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # truncated tail from an interrupted write
-                if record.get("kind") == "checkpoint":
-                    if record.get("schema") != CHECKPOINT_SCHEMA:
-                        raise ValueError(
-                            f"{self.path}: unsupported checkpoint "
-                            f"schema {record.get('schema')!r}")
-                elif record.get("kind") == "outcome":
-                    self._entries[record["key"]] = record
 
     def _append(self, record: Dict[str, Any]) -> None:
         if self._fh is None:

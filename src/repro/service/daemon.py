@@ -32,8 +32,9 @@ Robustness is the design center:
   queued shards stay durable for the next start.
 * **Watchdogs.**  ``timeout_s`` passes through to ``run_fleet``'s
   per-target watchdog, so a hung target inside a shard is killed and
-  retried, not waited on forever (requires ``jobs >= 2``; the serial
-  in-thread path cannot arm ``SIGALRM``).
+  retried, not waited on forever.  With a deadline every target runs
+  in a killable child process, so this holds at any ``jobs`` even
+  though shards run off the main thread.
 
 Lifecycle events flow through :mod:`repro.obs` as ``service.*`` events
 and ``proc.service.*`` counters; on clean shutdown the session trace
@@ -86,7 +87,8 @@ class ServiceConfig:
             exceed it are rejected with ``retry_after``.
         retries: per-target retry budget inside a shard.
         shard_retries: extra attempts for a shard whose fleet raised.
-        timeout_s: per-target watchdog deadline (parallel shards).
+        timeout_s: per-target watchdog deadline; enforced at any
+            ``jobs`` (targets then run in killable child processes).
         max_tenant_failures: failed shards a tenant may accumulate
             before being degraded (``None`` = never).
         fsync: fsync the queue and checkpoint journals per record.

@@ -44,8 +44,10 @@ def test_seeded_schedule_recovers_identically(chaos_seed, tmp_path,
 
 
 def test_serial_schedule_recovers_identically(tmp_path, clean_baseline):
-    """Serial path: transient faults only (a crash would take pytest
-    down with it, and hangs are the serial-deadline tests' job)."""
+    """In-process path (no deadline, capacity 1): transient faults
+    only - a crash would take pytest down with it, and without a
+    deadline nothing could kill a hang (the deadline tests in
+    ``tests/runtime/test_resilience.py`` cover hangs at ``jobs=1``)."""
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
     wrapped = chaos_schedule(5, small_specs(), str(chaos_dir),

@@ -14,6 +14,7 @@ a given seed; the kill test sweeps three seeds to move the crash
 around the shard layout.
 """
 
+import json
 import time
 
 import pytest
@@ -92,14 +93,17 @@ def test_kill_daemon_mid_shard_recovers_byte_identical(
         assert stop_daemon(restarted, sock) == 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_hang_shard_killed_by_watchdog_and_retried(tmp_path,
-                                                   clean_baseline):
+                                                   clean_baseline, jobs):
     """A target hanging past the watchdog does not wedge the daemon.
 
-    With ``jobs=2`` the shard runs under ``run_fleet``'s parallel
-    watchdog: the injected hang is killed at the deadline, the
-    cross-process attempt counter advances, and the retry runs clean
-    - all inside one daemon lifetime.
+    The daemon runs shards off its main thread; with ``timeout_s``
+    set, ``run_fleet`` executes every target in a killable child
+    process at any ``jobs``, so the effectively unbounded hang is
+    killed within ``timeout_s + 1`` s (read from the daemon's own
+    trace), the cross-process attempt counter advances, and the retry
+    runs clean - all inside one daemon lifetime.
     """
     sock = tmp_path / "svc.sock"
     state = tmp_path / "state"
@@ -110,10 +114,11 @@ def test_hang_shard_killed_by_watchdog_and_retried(tmp_path,
     plan = service_chaos_plan(5, len(specs), SHARD_SIZE,
                               kinds=("hang-shard",))
     wrapped = apply_service_fault(plan, specs, str(chaos_dir),
-                                  SHARD_SIZE, hang_s=120.0)
+                                  SHARD_SIZE, hang_s=3600.0)
+    timeout_s = 5.0
 
-    proc = start_daemon(sock, state, shard_size=SHARD_SIZE, jobs=2,
-                        timeout_s=5.0)
+    proc = start_daemon(sock, state, shard_size=SHARD_SIZE, jobs=jobs,
+                        timeout_s=timeout_s)
     try:
         response = client.submit(str(sock), wrapped, tenant="chaos")
         results = client.wait_results(str(sock),
@@ -127,6 +132,13 @@ def test_hang_shard_killed_by_watchdog_and_retried(tmp_path,
         assert not counters.get("proc.service.shards_failed")
     finally:
         assert stop_daemon(proc, sock) == 0
+    with open(state / "service.trace.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    kills = [r["attrs"]["kill_latency_ms"] / 1e3 for r in records
+             if r.get("kind") == "event"
+             and r["name"] == "fleet.timeout"]
+    assert kills, "watchdog never fired"
+    assert kills[0] <= timeout_s + 1.0
 
 
 def test_corrupt_queue_record_is_detected_and_shard_rerun(tmp_path,

@@ -22,6 +22,20 @@ def _outcome_fingerprint(outcome):
             outcome.stats.retention_waits)
 
 
+def _record_shape(records):
+    """Spans and events without their wall-clock fields (the metrics
+    snapshot holds timings and ``proc.`` facts; compare it with
+    :func:`_deterministic`)."""
+    return [{k: v for k, v in r.items() if k not in ("t_ns", "dur_ns")}
+            for r in records if r["kind"] != "metrics"]
+
+
+def _deterministic(metrics):
+    """Counters outside the process-local ``proc.`` namespace."""
+    return {name: value for name, value in metrics.counters.items()
+            if not name.startswith("proc.")}
+
+
 class TestTracedEqualsUntraced:
     def test_characterize_outcome_identical(self):
         spec = CampaignSpec(experiment="characterize", vendor="A", **TINY)
@@ -58,10 +72,18 @@ class TestTracedEqualsUntraced:
                  for v in ("A", "B", "C")]
         traced = [dataclasses.replace(s, trace=True) for s in specs]
         plain = run_fleet(specs, jobs=1)
-        for jobs in (1, 2):
-            fleet = run_fleet(traced, jobs=jobs)
+        in_process = run_fleet(traced, jobs=1)
+        # jobs=1 with a deadline runs each target in a child process,
+        # whose records ship back on the outcome.
+        for kwargs in (dict(jobs=1), dict(jobs=2),
+                       dict(jobs=1, timeout_s=60.0)):
+            fleet = run_fleet(traced, **kwargs)
             assert fleet.signatures() == plain.signatures()
             assert fleet.stats.tests == plain.stats.tests
+            assert (_record_shape(fleet.trace_records())
+                    == _record_shape(in_process.trace_records()))
+            assert (_deterministic(fleet.metrics)
+                    == _deterministic(in_process.metrics))
 
     def test_untraced_run_leaves_no_session(self):
         spec = CampaignSpec(experiment="characterize", vendor="A", **TINY)

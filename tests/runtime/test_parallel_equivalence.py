@@ -54,8 +54,10 @@ def test_jobs4_identical_to_serial_all_vendors(serial_baseline):
 
 
 def test_jobs2_identical_to_serial(serial_baseline):
-    _assert_equivalent(serial_baseline,
-                       run_fleet(_characterize_specs(), jobs=2))
+    # A deadline moves even jobs=1 into a (killable) child process.
+    for kwargs in (dict(jobs=2), dict(jobs=1, timeout_s=60.0)):
+        _assert_equivalent(serial_baseline,
+                           run_fleet(_characterize_specs(), **kwargs))
 
 
 def test_compare_experiment_identical_across_jobs():

@@ -6,11 +6,13 @@ resume, golden degraded report) live in ``tests/chaos``; this module
 pins the contracts of the individual pieces.
 """
 
+import json
 import os
-import time
+import threading
 
 import pytest
 
+from repro import obs
 from repro.runtime import (CampaignSpec, CheckpointJournal,
                            CheckpointMismatch, FleetExecutionError,
                            backoff_delay, chip_seed, run_fleet,
@@ -122,6 +124,30 @@ class TestJournal:
         assert len(reopened) == 2
         reopened.close()
 
+    def test_resume_later_record_wins(self, tmp_path, baseline):
+        path = str(tmp_path / "fleet.ckpt")
+        a, b, _ = _specs()
+        with CheckpointJournal(path) as journal:
+            journal.record(a, baseline.outcomes[0])
+            journal.record(b, baseline.outcomes[1])
+        with open(path) as fh:
+            lines = fh.readlines()
+        # Re-key b's record as a; appended later, it must win.
+        later = json.loads(lines[-1])
+        later["key"] = a.checkpoint_key()
+        with open(path, "a") as fh:
+            fh.write(json.dumps(later) + "\n")
+        reopened = CheckpointJournal(path, resume=True)
+        assert (reopened.outcome(a).signature()
+                == baseline.outcomes[1].signature())
+        reopened.close()
+
+    def test_resume_rejects_unknown_schema(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        path.write_text('{"kind": "checkpoint", "schema": 99}\n')
+        with pytest.raises(ValueError, match="schema"):
+            CheckpointJournal(str(path), resume=True)
+
     def test_mismatch_detected(self, tmp_path, baseline):
         path = str(tmp_path / "fleet.ckpt")
         spec = _specs()[0]
@@ -224,7 +250,14 @@ class TestDegraded:
             run_fleet(_specs(), strict=False, max_failures=-1)
 
 
-# -- serial deadline ------------------------------------------------------
+# -- deadlines -------------------------------------------------------------
+
+
+def _kill_latencies_s(session):
+    """Per-kill latency (submission to SIGKILL) from ``fleet.timeout``."""
+    return [r["attrs"]["kill_latency_ms"] / 1e3
+            for r in session.tracer.records
+            if r.get("kind") == "event" and r["name"] == "fleet.timeout"]
 
 
 class TestSerialDeadline:
@@ -232,11 +265,13 @@ class TestSerialDeadline:
         specs = _specs()
         specs[0] = wrap_spec(specs[0], ("hang",), str(tmp_path),
                              hang_s=30.0)
-        t0 = time.perf_counter()
-        fleet = run_fleet(specs, jobs=1, retries=1, timeout_s=2.0,
-                          backoff_base=0.0)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 15.0  # nowhere near the 30 s hang
+        timeout_s = 2.0
+        with obs.session("serial-deadline") as sess:
+            fleet = run_fleet(specs, jobs=1, retries=1,
+                              timeout_s=timeout_s, backoff_base=0.0)
+        latencies = _kill_latencies_s(sess)
+        assert len(latencies) == 1
+        assert latencies[0] <= timeout_s + 1.0
         assert fleet.signatures() == baseline.signatures()
         assert fleet.attempts == len(specs) + 1
 
@@ -248,6 +283,38 @@ class TestSerialDeadline:
                           strict=False, backoff_base=0.0)
         assert not fleet.ok
         assert fleet.errors[0].kind == "timeout"
+
+
+class TestDeadlineOffMainThread:
+    """The deadline holds from a worker thread, as in the daemon.
+
+    A signal-based deadline cannot arm off the main thread, so a hung
+    target there used to run for as long as it liked.  The watchdog
+    kills a child process instead, which works from any thread.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unbounded_hang_killed_within_deadline(self, tmp_path,
+                                                   baseline, jobs):
+        spec = wrap_spec(_specs()[0], ("hang",), str(tmp_path),
+                         hang_s=3600.0)
+        timeout_s = 2.0
+        box = {}
+
+        def run():
+            box["fleet"] = run_fleet([spec], jobs=jobs, retries=1,
+                                     timeout_s=timeout_s,
+                                     backoff_base=0.0)
+
+        with obs.session("thread-deadline") as sess:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=60.0)
+        assert not worker.is_alive(), "hung target was never killed"
+        latencies = _kill_latencies_s(sess)
+        assert latencies, "watchdog never fired"
+        assert latencies[0] <= timeout_s + 1.0
+        assert box["fleet"].signatures() == baseline.signatures()[:1]
 
 
 # -- pool-break retry budget (the overcharging fix) -----------------------
