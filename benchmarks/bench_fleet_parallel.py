@@ -4,8 +4,8 @@ A 12-chip characterization fleet (4 chips per vendor, seeds from the
 SHA-256 ladder) is run three ways:
 
 * **reference** - the original per-cell loops, serial (the seed
-  repository's execution path, kept executable behind the
-  reference-kernel switch);
+  repository's execution path, kept executable in
+  :mod:`repro._oracle`);
 * **jobs=1** - the optimized engine (vectorized bank verification,
   memoized schedules/batteries), serial;
 * **jobs=4** - the optimized engine fanned over 4 worker processes.
@@ -21,9 +21,9 @@ import time
 
 import pytest
 
+from repro._oracle import reference
 from repro.analysis import format_table
-from repro.runtime import (CampaignSpec, chip_seed, reference_kernels,
-                           run_fleet)
+from repro.runtime import CampaignSpec, chip_seed, run_fleet
 
 from ._report import report
 
@@ -46,7 +46,7 @@ def test_fleet_parallel_speedup(benchmark):
     specs = _fleet_specs()
 
     t0 = time.perf_counter()
-    with reference_kernels():
+    with reference():
         ref = run_fleet(specs, jobs=1)
     t_ref = time.perf_counter() - t0
 

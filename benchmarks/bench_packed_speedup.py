@@ -2,11 +2,11 @@
 
 The bit-packed substrate (docs/KERNELS.md) exists for one reason:
 every figure's campaign runs through the write -> decay -> read hot
-path.  This bench times the same single-process campaigns under
-:func:`repro.runtime.reference_kernels` and under the packed kernels,
-reports the ratios, and enforces the floor CI gates on: the fig11
-recursion campaign must be at least 5x faster packed (the target,
-usually met on an idle machine, is 10x).
+path.  This bench times the same single-process campaigns on the
+reference loops installed by :func:`repro._oracle.reference` and on
+the packed kernels, reports the ratios, and enforces the floor CI
+gates on: the fig11 recursion campaign must be at least 5x faster
+packed (the target, usually met on an idle machine, is 10x).
 
 The fig12 module comparison is also reported for honesty: it is
 bounded by equal-budget *random-pattern generation* (drawing ~100 M
@@ -16,9 +16,9 @@ not a kernel property.
 
 import time
 
+from repro._oracle import reference
 from repro.analysis import recursion_for_vendor
 from repro.analysis.experiments import compare_module, make_module
-from repro.runtime import reference_kernels
 
 from ._report import report
 
@@ -48,7 +48,7 @@ def test_fig11_packed_speedup_floor(benchmark):
     _fig11_campaign()  # warm mapping/pattern caches out of the timing
     packed = benchmark.pedantic(lambda: _best_of(_fig11_campaign),
                                 rounds=1, iterations=1)
-    with reference_kernels():
+    with reference():
         ref = _best_of(_fig11_campaign, repeats=2)
     ratio = ref / packed
     report("packed_speedup_fig11",
@@ -67,7 +67,7 @@ def test_fig12_module_comparison_reported(benchmark):
     packed = benchmark.pedantic(lambda: _best_of(_fig12_campaign,
                                                  repeats=1),
                                 rounds=1, iterations=1)
-    with reference_kernels():
+    with reference():
         ref = _best_of(_fig12_campaign, repeats=1)
     ratio = ref / packed
     report("packed_speedup_fig12",

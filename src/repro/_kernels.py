@@ -1,30 +1,21 @@
-"""Kernel switch + the bit-packed word-wise substrate kernel library.
+"""The bit-packed word-wise substrate kernel library.
 
-The hot paths of the DRAM substrate and the PARBOR pipeline exist in
-two implementations:
+The row state of the DRAM substrate is bit-packed into little-endian
+``uint64`` words, and the write / decay / compare / extraction hot
+loops run as word-wise boolean algebra (XOR, AND, popcount) over those
+words.
 
-* the **reference kernels** - the original straight-line loops the
-  reproduction was seeded with.  They are kept verbatim as the
-  executable specification of the serial path.
-* the **packed kernels** (default) - the row state is bit-packed into
-  little-endian ``uint64`` words and the write / decay / compare /
-  extraction hot loops run as word-wise boolean algebra (XOR, AND,
-  popcount) over those words.
-
-**Equivalence invariant.** Both implementations produce bit-identical
-results: the same failure coordinates, the same test counts, and the
-same RNG consumption, for every campaign configuration.  Packing is a
-pure change of representation - ``unpack_rows(pack_rows(x), n) == x``
-for any 0/1 array - and every packed kernel in this module is the
-word-wise image of a per-cell loop.  ``tests/runtime`` proves the
-equivalence differentially (fixed seeds and hypothesis-generated bank
-states, including row widths not divisible by 64); the contract - the
-packed memory layout, the bit-order convention, and what future
-backends must preserve - is documented in ``docs/KERNELS.md``.
-
-The switch lives in this module, which depends only on numpy, so
-:mod:`repro.dram` and :mod:`repro.core` can consult it without
-importing :mod:`repro.runtime` (which sits above them).
+**Equivalence invariant.** Packing is a pure change of representation
+- ``unpack_rows(pack_rows(x), n) == x`` for any 0/1 array - and every
+kernel in this module is the word-wise image of a per-cell loop.  The
+original per-cell loops live in :mod:`repro._oracle`, which only tests
+and benchmarks import; ``tests/runtime`` installs them and proves the
+packed engine bit-identical to them (the same failure coordinates,
+test counts and RNG consumption) on fixed seeds and
+hypothesis-generated bank states, including row widths not divisible
+by 64.  The contract - the packed memory layout, the bit-order
+convention, and what future backends must preserve - is documented in
+``docs/KERNELS.md``.
 
 Packed layout (see ``docs/KERNELS.md`` for the full contract):
 
@@ -37,44 +28,16 @@ Packed layout (see ``docs/KERNELS.md`` for the full contract):
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "reference_kernels_enabled", "use_reference_kernels",
-    "reference_kernels",
     "WORD_BITS", "packed_words", "tail_mask", "pack_rows", "unpack_rows",
     "popcount", "gather_bits", "scatter_assign_bits", "scatter_flip_bits",
     "scatter_span_masks", "or_rows_masks", "clear_rows_masks",
     "diff_coords",
 ]
-
-_REFERENCE = False
-
-
-def reference_kernels_enabled() -> bool:
-    """True when the original loop-based kernels are selected."""
-    return _REFERENCE
-
-
-def use_reference_kernels(enabled: bool) -> None:
-    """Select reference (True) or packed (False) kernels."""
-    global _REFERENCE
-    _REFERENCE = bool(enabled)
-
-
-@contextmanager
-def reference_kernels(enabled: bool = True) -> Iterator[None]:
-    """Temporarily select the reference kernels (context manager)."""
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = bool(enabled)
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
 
 
 # -- packed representation ------------------------------------------------

@@ -20,8 +20,6 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .._kernels import reference_kernels_enabled
-
 __all__ = [
     "solid", "checkerboard", "column_stripes", "walking_ones", "inverse",
     "random_pattern", "discovery_patterns", "with_inverses",
@@ -105,15 +103,7 @@ def discovery_patterns(row_bits: int, n_tests: int,
     random backgrounds.  Inverse pairing is preserved as long as the
     budget allows.
     """
-    if reference_kernels_enabled():
-        base: List[Tuple[str, np.ndarray]] = [
-            ("solid0", solid(row_bits, 0)),
-            ("checker1", checkerboard(row_bits, period=1)),
-            ("stripe8", checkerboard(row_bits, period=8)),
-        ]
-        battery = list(with_inverses(base))
-    else:
-        battery = list(_base_battery(row_bits))
+    battery = list(_base_battery(row_bits))
     i = 0
     while len(battery) < n_tests:
         battery.append((f"rand{i}", random_pattern(row_bits, rng)))

@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from .. import obs
-from .._kernels import reference_kernels_enabled
 from ..dram.controller import MemoryController
 from .config import ParborConfig
 from .ranking import RankingOutcome, rank_distances
@@ -130,64 +129,50 @@ def _run_region_test(controllers: Sequence[MemoryController],
             indexing; only entries where ``covered`` is True matter).
         covered: per-victim mask - False where the candidate region
             falls outside the row for that victim.
-        sample: the victim sample (for columns).
+        sample: the victim sample (sizes the returned mask).
         region_size: bits per subregion at this level.
         revote: the test runs on a fresh reseeded re-vote stream, so
             the coupled-cell evaluation may be restricted to the
             tested rows (a large saving when re-voting a handful of
             victims).
     """
-    row_bits = controllers[0].row_bits
     failed = np.zeros(len(sample), dtype=bool)
-    reference = reference_kernels_enabled()
     for (chip_idx, bank_idx), group in groups.items():
         vi = group.victim_idx
         use = covered[vi]
         if not use.any():
             continue
-        ctrl = controllers[chip_idx]
-        starts = sub_abs[vi[use]] * region_size
-        rows_of = group.row_pos[use]
-
-        if reference:
-            data = np.ones((len(group.unique_rows), row_bits),
-                           dtype=np.uint8)
-            # Zero every covered victim's subregion in its own row.
-            for r, s in zip(rows_of.tolist(), starts.tolist()):
-                data[r, s:s + region_size] = 0
-            # Victim bits carry the opposite value of their region.
-            data[group.row_pos, group.cols] = 1
-
-            observed = ctrl.test_rows(bank_idx, group.unique_rows, data,
-                                      coupled_rows_only=revote)
-            flip_pos = observed[group.row_pos, group.cols] != 1
-            observed_inv = ctrl.test_rows(bank_idx, group.unique_rows,
-                                          1 - data,
-                                          coupled_rows_only=revote)
-            flip_inv = observed_inv[group.row_pos, group.cols] != 0
-            failed[vi] |= (flip_pos | flip_inv) & use[...]
-            continue
-
-        # Vectorized path: express the test as background + patches
-        # (zeroed subregions, victim bits) and verify only the victim
-        # cells against the sparse retention flips - no whole-row
-        # scrambling or read-back materialisation.  A flip mask is
-        # "read != written" for both polarities, which is exactly what
-        # the dense comparisons above compute.
-        flip_pos = ctrl.test_rows_patched(
-            bank_idx, group.unique_rows, base=1,
-            spans=(rows_of, starts, region_size, 0),
-            points=(group.row_pos, group.cols, 1),
-            check_row_idx=group.row_pos, check_cols=group.cols,
-            coupled_rows_only=revote)
-        flip_inv = ctrl.test_rows_patched(
-            bank_idx, group.unique_rows, base=0,
-            spans=(rows_of, starts, region_size, 1),
-            points=(group.row_pos, group.cols, 0),
-            check_row_idx=group.row_pos, check_cols=group.cols,
-            coupled_rows_only=revote)
-        failed[vi] |= (flip_pos | flip_inv) & use[...]
+        failed[vi] |= _group_test(
+            controllers[chip_idx], bank_idx, group, group.row_pos[use],
+            sub_abs[vi[use]] * region_size, region_size, revote) & use
     return failed
+
+
+def _group_test(ctrl: MemoryController, bank_idx: int, group: _RowGroup,
+                rows_of: np.ndarray, starts: np.ndarray, region_size: int,
+                revote: bool) -> np.ndarray:
+    """One group's pattern/inverse pair; per-victim flip mask.
+
+    The test is background + patches (zeroed subregions starting at
+    ``starts`` in rows ``rows_of``, victim bits at the opposite value),
+    and only the victim cells are verified against the sparse
+    retention flips - no whole-row scrambling or read-back
+    materialisation.  A victim flips when its read differs from what
+    was written under either polarity.
+    """
+    flip_pos = ctrl.test_rows_patched(
+        bank_idx, group.unique_rows, base=1,
+        spans=(rows_of, starts, region_size, 0),
+        points=(group.row_pos, group.cols, 1),
+        check_row_idx=group.row_pos, check_cols=group.cols,
+        coupled_rows_only=revote)
+    flip_inv = ctrl.test_rows_patched(
+        bank_idx, group.unique_rows, base=0,
+        spans=(rows_of, starts, region_size, 1),
+        points=(group.row_pos, group.cols, 0),
+        check_row_idx=group.row_pos, check_cols=group.cols,
+        coupled_rows_only=revote)
+    return flip_pos | flip_inv
 
 
 def _filter_groups(groups: Dict[Tuple[int, int], _RowGroup],

@@ -39,7 +39,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from .._kernels import reference_kernels_enabled
 
 __all__ = ["TestSchedule", "greedy_colouring", "build_schedule",
            "paper_round_count", "sparse_stride"]
@@ -176,23 +175,20 @@ def build_schedule(row_bits: int, distances: Sequence[int],
                     key=lambda d: (abs(d), d))
     if not signed:
         raise ValueError("cannot schedule with an empty distance set")
-    if not reference_kernels_enabled():
-        if not obs.enabled():
-            return _build_schedule_cached(row_bits, tuple(signed), scheme)
-        # Memo hits are per-process state, so the counters live in the
-        # non-deterministic "proc." namespace (how often a schedule is
-        # rebuilt depends on how targets were sliced into workers).
-        before = _build_schedule_cached.cache_info()
-        schedule = _build_schedule_cached(row_bits, tuple(signed), scheme)
-        after = _build_schedule_cached.cache_info()
-        obs.inc("proc.schedule.memo_hits", after.hits - before.hits)
-        obs.inc("proc.schedule.memo_misses",
-                after.misses - before.misses)
-        obs.event("schedule", scheme=scheme,
-                  base_rounds=schedule.base_rounds,
-                  memoized=after.hits > before.hits)
-        return schedule
-    return _build_schedule(row_bits, tuple(signed), scheme)
+    if not obs.enabled():
+        return _build_schedule_cached(row_bits, tuple(signed), scheme)
+    # Memo hits are per-process state, so the counters live in the
+    # non-deterministic "proc." namespace (how often a schedule is
+    # rebuilt depends on how targets were sliced into workers).
+    before = _build_schedule_cached.cache_info()
+    schedule = _build_schedule_cached(row_bits, tuple(signed), scheme)
+    after = _build_schedule_cached.cache_info()
+    obs.inc("proc.schedule.memo_hits", after.hits - before.hits)
+    obs.inc("proc.schedule.memo_misses", after.misses - before.misses)
+    obs.event("schedule", scheme=scheme,
+              base_rounds=schedule.base_rounds,
+              memoized=after.hits > before.hits)
+    return schedule
 
 
 @lru_cache(maxsize=64)

@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._kernels import reference_kernels_enabled
 from ..dram.controller import MemoryController
 from .config import ParborConfig
 from .patterns import discovery_patterns
@@ -76,6 +75,37 @@ class VictimSample:
                    observed_failures=observed)
 
 
+def _count_failures(controllers: Sequence[MemoryController],
+                    patterns: Sequence[np.ndarray]
+                    ) -> Tuple[List[Coord], List[int]]:
+    """Run one whole-chip test per pattern; count failures per cell.
+
+    Returns every coordinate that failed at least one test, in
+    lexicographic ``(chip, bank, row, col)`` order, and the number of
+    tests each one failed.  Every failure coordinate is encoded as one
+    integer and the whole set is histogrammed in a single unique pass.
+    """
+    row_bits = controllers[0].row_bits
+    n_rows = max(c.n_rows for c in controllers)
+    n_banks = max(c.n_banks for c in controllers)
+    chunks = [np.empty(0, dtype=np.int64)]
+    for pattern in patterns:
+        for chip_idx, ctrl in enumerate(controllers):
+            per_bank = ctrl.test_pattern(pattern)
+            for bank_idx, (rows, cols) in enumerate(per_bank):
+                chunks.append((((np.int64(chip_idx) * n_banks + bank_idx)
+                                * n_rows + rows.astype(np.int64))
+                               * row_bits + cols.astype(np.int64)))
+    uniq, fails = np.unique(np.concatenate(chunks), return_counts=True)
+    cols = uniq % row_bits
+    rest = uniq // row_bits
+    rows = rest % n_rows
+    rest //= n_rows
+    coords = list(zip((rest // n_banks).tolist(), (rest % n_banks).tolist(),
+                      rows.tolist(), cols.tolist()))
+    return coords, fails.tolist()
+
+
 def find_initial_victims(controllers: Sequence[MemoryController],
                          config: ParborConfig,
                          rng: np.random.Generator) -> VictimSample:
@@ -101,53 +131,10 @@ def find_initial_victims(controllers: Sequence[MemoryController],
 
     battery = discovery_patterns(row_bits, config.n_discovery_tests, rng)
     n_tests = len(battery)
-    if reference_kernels_enabled():
-        fail_counts: Dict[Coord, int] = {}
-        for _name, pattern in battery:
-            for chip_idx, ctrl in enumerate(controllers):
-                per_bank = ctrl.test_pattern(pattern)
-                for bank_idx, (rows, cols) in enumerate(per_bank):
-                    for r, c in zip(rows.tolist(), cols.tolist()):
-                        key = (chip_idx, bank_idx, r, c)
-                        fail_counts[key] = fail_counts.get(key, 0) + 1
-        candidates = [coord for coord, fails in fail_counts.items()
-                      if 1 <= fails < n_tests]
-        candidates.sort()
-        observed = set(fail_counts)
-    else:
-        # Batched counting: encode every failure coordinate of every
-        # test into one integer per cell and histogram them in a
-        # single unique pass instead of a per-cell dict update.
-        n_rows = max(c.n_rows for c in controllers)
-        n_banks = max(c.n_banks for c in controllers)
-        chunks: List[np.ndarray] = []
-        for _name, pattern in battery:
-            for chip_idx, ctrl in enumerate(controllers):
-                per_bank = ctrl.test_pattern(pattern)
-                for bank_idx, (rows, cols) in enumerate(per_bank):
-                    enc = (((np.int64(chip_idx) * n_banks + bank_idx)
-                            * n_rows + rows.astype(np.int64))
-                           * row_bits + cols.astype(np.int64))
-                    chunks.append(enc)
-        if chunks:
-            enc_all = np.concatenate(chunks)
-            uniq, fails = np.unique(enc_all, return_counts=True)
-        else:
-            uniq = np.empty(0, dtype=np.int64)
-            fails = uniq
-        def _decode(enc: np.ndarray) -> List[Coord]:
-            cols_d = enc % row_bits
-            rest = enc // row_bits
-            rows_d = rest % n_rows
-            rest //= n_rows
-            banks_d = rest % n_banks
-            chips_d = rest // n_banks
-            return list(zip(chips_d.tolist(), banks_d.tolist(),
-                            rows_d.tolist(), cols_d.tolist()))
-        # Encoded order is lexicographic (chip, bank, row, col) order,
-        # matching the reference path's candidates.sort().
-        candidates = _decode(uniq[(fails >= 1) & (fails < n_tests)])
-        observed = set(_decode(uniq))
+    coords, fails = _count_failures(controllers,
+                                    [pattern for _name, pattern in battery])
+    candidates = [c for c, f in zip(coords, fails) if f < n_tests]
+    observed = set(coords)
 
     # Keep rows sparse: same-row victims share physical writes, and a
     # crowded row lets one victim's zeroed test region land on

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from .._kernels import reference_kernels_enabled
 from .chip import DramChip
 from .timing import DDR3_1600, DramTiming
 
@@ -163,9 +162,7 @@ class MemoryController:
             with tracer.span("phase.read"):
                 observed = read()
         self._account_test(n_rows)
-        engine = ("reference" if reference_kernels_enabled()
-                  else "vectorized")
-        sess.metrics.observe(f"io.test_ms[{engine}]",
+        sess.metrics.observe("io.test_ms[vectorized]",
                              (time.perf_counter() - t0) * 1e3)
         return observed
 
@@ -255,9 +252,7 @@ class MemoryController:
                     retention_ms=self.timing.refresh_interval_ms):
                 self.stats.retention_waits += 1
         self.stats.tests += 1
-        engine = ("reference" if reference_kernels_enabled()
-                  else "vectorized")
-        sess.metrics.observe(f"io.test_ms[{engine}]",
+        sess.metrics.observe("io.test_ms[vectorized]",
                              (time.perf_counter() - t0) * 1e3)
         return failures
 

@@ -3,8 +3,9 @@
 The optimized engine (broadcast writes, patched sparse writes, batched
 retention verification, memoized schedules/batteries) must be
 *bit-identical* to the original per-cell code, which stays executable
-behind :func:`repro.runtime.reference_kernels`.  These tests drive the
-same seeded operations through both paths and require equality of
+in :mod:`repro._oracle` and is installed by its
+:func:`~repro._oracle.reference` context manager.  These tests drive
+the same seeded operations through both paths and require equality of
 charge arrays, read-back data, and full campaign outputs.
 """
 
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._oracle import reference
 from repro.core import ParborConfig, run_parbor
-from repro.core.patterns import discovery_patterns
-from repro.core.scheduler import build_schedule
+from repro.core.patterns import _base_battery, discovery_patterns
+from repro.core.scheduler import _build_schedule, build_schedule
 from repro.dram import vendor
-from repro.runtime import reference_kernels
+from repro.dram.faults import DeviceNoiseModel, NoiseSpec
+from repro.runtime.seeds import ladder_seed
 
 
 def _chip(vendor_name="A", seed=5, n_rows=32):
@@ -40,7 +43,7 @@ def test_write_rows_broadcast_matches_reference(seed):
 
     ref = _bank(seed=int(seed) % 97)
     fast = _bank(seed=int(seed) % 97)
-    with reference_kernels():
+    with reference():
         ref.write_rows(rows, data)
     fast.write_rows(rows, data)
     assert np.array_equal(ref.charge, fast.charge)
@@ -91,7 +94,7 @@ def test_retention_read_rows_matches_reference(seed):
 
     ref = _bank("B", seed=int(seed) % 89)
     fast = _bank("B", seed=int(seed) % 89)
-    with reference_kernels():
+    with reference():
         ref.write_rows(rows, data)
         ref_read = ref.retention_read_rows(rows)
     fast.write_rows(rows, data)
@@ -124,9 +127,9 @@ def test_retention_check_cells_matches_full_read(seed):
 
 
 def test_memoized_schedule_matches_reference():
+    """The memoized schedule equals a fresh uncached construction."""
     for distances in ([8, -8, 16, -16, 48, -48], [1, -1, 64, -64]):
-        with reference_kernels():
-            ref = build_schedule(8192, distances)
+        ref = _build_schedule(8192, tuple(distances), "sparse")
         fast = build_schedule(8192, distances)
         assert ref.scheme == fast.scheme
         assert len(ref.patterns) == len(fast.patterns)
@@ -145,8 +148,11 @@ def test_memoized_schedule_is_shared_and_read_only():
 
 
 def test_memoized_battery_matches_reference():
-    with reference_kernels():
-        ref = discovery_patterns(8192, 8, np.random.default_rng(4))
+    """The memoized battery head equals a fresh uncached build."""
+    rng = np.random.default_rng(4)
+    ref = list(_base_battery.__wrapped__(8192))
+    ref += [(f"rand{i}", rng.integers(0, 2, size=8192, dtype=np.uint8))
+            for i in range(8 - len(ref))]
     fast = discovery_patterns(8192, 8, np.random.default_rng(4))
     assert [n for n, _ in ref] == [n for n, _ in fast]
     for (_, a), (_, b) in zip(ref, fast):
@@ -156,16 +162,41 @@ def test_memoized_battery_matches_reference():
 # -- whole campaign -------------------------------------------------------
 
 
-@pytest.mark.parametrize("vendor_name", ["A", "B", "C"])
-def test_campaign_identical_to_reference(vendor_name):
+def _noisy_chip(vendor_name, seed, n_rows):
+    """A chip whose banks carry seeded injected device noise."""
+    chip = _chip(vendor_name, seed, n_rows)
+    spec = NoiseSpec(n_vrt_cells=4, n_marginal_cells=4,
+                     soft_error_rate=1e-6)
+    for bank_idx, bank in enumerate(chip.banks):
+        bank.noise = DeviceNoiseModel(
+            spec, n_rows=bank.n_rows, row_bits=bank.row_bits,
+            seed=ladder_seed(seed, "device-noise", 0, bank_idx))
+    return chip
+
+
+@pytest.mark.parametrize("vendor_name,robust", [
+    *(pytest.param(v, False, id=v) for v in "ABC"),
+    *(pytest.param(v, True, id=f"{v}-rounds3-noise-remap") for v in "ABC"),
+])
+def test_campaign_identical_to_reference(vendor_name, robust):
+    """Packed == reference, and every installed reference loop ran.
+
+    The robust input covers what ``docs/KERNELS.md`` promises beyond
+    the single pass: repeat-and-vote (``rounds=3``) under injected
+    device noise, with remapped-column recovery.
+    """
     cfg = ParborConfig(sample_size=300)
+    make = _noisy_chip if robust else _chip
+    kwargs = dict(rounds=3, recover_remapped=True) if robust else {}
 
-    with reference_kernels():
-        ref = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
-                         seed=18)
-    fast = run_parbor(_chip(vendor_name, seed=17, n_rows=32), cfg,
-                      seed=18)
+    with reference() as hits:
+        ref = run_parbor(make(vendor_name, seed=17, n_rows=32), cfg,
+                         seed=18, **kwargs)
+    fast = run_parbor(make(vendor_name, seed=17, n_rows=32), cfg,
+                      seed=18, **kwargs)
 
+    idle = sorted(name for name, n in hits.items() if n == 0)
+    assert not idle, f"reference loops never ran: {idle}"
     assert ref.distances == fast.distances
     assert ref.detected == fast.detected
     assert ref.total_tests == fast.total_tests
@@ -174,3 +205,9 @@ def test_campaign_identical_to_reference(vendor_name):
     assert ref.stats.tests == fast.stats.tests
     assert ref.stats.rows_written == fast.stats.rows_written
     assert ref.stats.rows_read == fast.stats.rows_read
+    if robust:
+        assert ref.verdicts.votes == fast.verdicts.votes
+        assert ref.verdicts.scored == fast.verdicts.scored
+        assert ref.quarantine.signature() == fast.quarantine.signature()
+        assert (ref.recovery.recovered_coords()
+                == fast.recovery.recovered_coords())

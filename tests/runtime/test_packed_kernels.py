@@ -3,9 +3,9 @@
 The packed kernels in :mod:`repro._kernels` must be the word-wise
 image of the dense per-cell operations for *any* geometry - including
 row widths that do not divide into whole 64-bit words - and the packed
-bank must match :func:`repro.runtime.reference_kernels` on random bank
-states under every vendor mapping.  The layout contract these tests
-pin down is documented in ``docs/KERNELS.md``.
+bank must match the reference loops of :func:`repro._oracle.reference`
+on random bank states under every vendor mapping.  The layout contract
+these tests pin down is documented in ``docs/KERNELS.md``.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ from repro._kernels import (WORD_BITS, diff_coords, gather_bits, pack_rows,
                             packed_words, popcount, scatter_assign_bits,
                             scatter_flip_bits, scatter_span_masks,
                             tail_mask, unpack_rows)
+from repro._oracle import reference
 from repro.dram import (CoupledCellPopulation, CouplingSpec, DramChip,
                         FaultSpec, vendor)
 from repro.dram.mapping import AddressMapping
-from repro.runtime import reference_kernels
 
 # Deliberately awkward row widths: 1 bit, sub-word, word-aligned,
 # word+1, and multi-word with a partial tail.
@@ -169,7 +169,7 @@ def test_bank_cycle_matches_reference_on_odd_widths(seed, row_bits):
 
     ref = _random_chip(row_bits, seed % 1009).banks[0]
     fast = _random_chip(row_bits, seed % 1009).banks[0]
-    with reference_kernels():
+    with reference():
         ref.write_rows(rows, data)
         ref_read = ref.retention_read_rows(rows)
         ref_fail = ref.retention_failures()
@@ -192,7 +192,7 @@ def test_evaluators_match_reference_across_vendors(vendor_name):
         data = _bits(data_rng, (16, chip_ref.row_bits))
         ref = chip_ref.banks[trial % len(chip_ref.banks)]
         fast = chip_fast.banks[trial % len(chip_fast.banks)]
-        with reference_kernels():
+        with reference():
             ref.write_rows(np.arange(16), data)
             ref_fail = ref.retention_failures()
         fast.write_rows(np.arange(16), data)
