@@ -29,7 +29,8 @@ from .patterns import inverse
 from .recursion import RecursionResult, recursive_neighbour_search
 from .remap_recovery import RecoveryResult, recover_irregular_victims
 from .scheduler import TestSchedule, build_schedule
-from .victims import VictimSample, _count_failures, find_initial_victims
+from .victims import (PackedCoordFields, VictimSample, _count_failures,
+                      find_initial_victims)
 
 __all__ = ["ParborResult", "run_parbor", "neighbour_aware_sweep",
            "controllers_for"]
@@ -38,7 +39,7 @@ Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 
 @dataclass
-class ParborResult:
+class ParborResult(PackedCoordFields):
     """Outcome of a full PARBOR campaign against one module or chip.
 
     Attributes:
@@ -65,6 +66,8 @@ class ParborResult:
             (:class:`repro.robust.QuarantineSet`); None on the legacy
             path.
     """
+
+    _COORD_FIELDS = ("detected",)
 
     distances: List[int]
     recursion: RecursionResult

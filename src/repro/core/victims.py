@@ -13,7 +13,7 @@ filtered later by the ranking stage (Section 5.2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -21,13 +21,47 @@ from ..dram.controller import MemoryController
 from .config import ParborConfig
 from .patterns import discovery_patterns
 
-__all__ = ["VictimSample", "find_initial_victims"]
+__all__ = ["PackedCoordFields", "VictimSample", "find_initial_victims"]
 
 Coord = Tuple[int, int, int, int]  # (chip, bank, row, sys_col)
 
 
+class PackedCoordFields:
+    """Mixin: the coordinate sets named in ``_COORD_FIELDS`` pickle as
+    sorted ``(n, 4)`` int32 arrays (16 bytes a cell, not ~200 as a set)
+    and decode on first access, so a fleet parent pays for the cells
+    of the outcomes it holds only once it reads them."""
+
+    _COORD_FIELDS: Tuple[str, ...] = ()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        packed = state["_packed"] = dict(state.get("_packed", {}))
+        for name in self._COORD_FIELDS:
+            if name in state:
+                packed[name] = np.array(sorted(state.pop(name)),
+                                        dtype=np.int32).reshape(-1, 4)
+        return state
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when normal lookup fails: a field still packed.
+        packed = self.__dict__.get("_packed", {})
+        if name not in packed:
+            raise AttributeError(name)
+        value = self.__dict__[name] = set(map(tuple,
+                                              packed.pop(name).tolist()))
+        return value
+
+    def sorted_coords(self, name: str) -> List[Coord]:
+        """``sorted(getattr(self, name))``, decoding nothing to keep."""
+        packed = self.__dict__.get("_packed", {})
+        if name in packed:
+            return list(map(tuple, packed[name].tolist()))
+        return sorted(getattr(self, name))
+
+
 @dataclass
-class VictimSample:
+class VictimSample(PackedCoordFields):
     """A sample of candidate data-dependent victim cells.
 
     Attributes:
@@ -39,6 +73,8 @@ class VictimSample:
             uncovered failures (Section 7.2 itemises it as budget
             item (iii)).
     """
+
+    _COORD_FIELDS = ("observed_failures",)
 
     chip: np.ndarray
     bank: np.ndarray

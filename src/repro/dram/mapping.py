@@ -345,14 +345,6 @@ class AddressMapping:
 
     # -- packed (word-wise) views -----------------------------------------
 
-    def s2p_word(self) -> np.ndarray:
-        """Per system column, its packed word index (do not mutate)."""
-        return self._s2p_word
-
-    def s2p_mask(self) -> np.ndarray:
-        """Per system column, its in-word bit mask (do not mutate)."""
-        return self._s2p_mask
-
     def scramble_packed(self, row_sys: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Memoized packed scramble of one system-order row pattern.

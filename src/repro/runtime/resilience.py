@@ -153,10 +153,13 @@ class CheckpointJournal:
                  fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
+        # Signatures are held as JSON text: as nested lists, the cells
+        # they list cost over 100 bytes each per journaled outcome.
         self._entries: Dict[str, Dict[str, Any]] = {}
         if resume and os.path.exists(path):
             # A later record for the same key wins.
             for record in self.read(path):
+                record["signature"] = json.dumps(record["signature"])
                 self._entries[record["key"]] = record
             self._fh: Optional[Any] = open(path, "a")
         else:
@@ -183,7 +186,7 @@ class CheckpointJournal:
                           outcome: "CampaignOutcome") -> bool:
         """Whether ``outcome`` is byte-identical to the journaled one."""
         entry = self._entries[spec.checkpoint_key()]
-        return entry["signature"] == signature_json(outcome.signature())
+        return entry["signature"] == json.dumps(outcome.signature())
 
     def outcome(self, spec: "CampaignSpec"
                 ) -> Optional["CampaignOutcome"]:
@@ -212,10 +215,10 @@ class CheckpointJournal:
                                        protocol=pickle.HIGHEST_PROTOCOL))
         ).decode("ascii")
         entry = {"kind": "outcome", "key": key, "label": spec.label(),
-                 "signature": signature_json(outcome.signature()),
-                 "payload": payload}
-        self._entries[key] = entry
+                 "signature": outcome.signature(), "payload": payload}
         self._append(entry)
+        entry["signature"] = json.dumps(entry["signature"])
+        self._entries[key] = entry
 
     @staticmethod
     def read(path: str) -> List[Dict[str, Any]]:

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from .. import obs
 from ..core.config import ParborConfig
 from ..core.detector import ParborResult
+from ..core.victims import PackedCoordFields
 from ..dram.controller import TestStats
 from .seeds import ladder_seed
 
@@ -37,7 +38,7 @@ EXPERIMENTS = ("characterize", "compare")
 
 
 @dataclass
-class CampaignOutcome:
+class CampaignOutcome(PackedCoordFields):
     """What one campaign target produced.
 
     Attributes:
@@ -62,6 +63,8 @@ class CampaignOutcome:
             ran with ``rounds > 1``; None on the legacy path.
     """
 
+    _COORD_FIELDS = ("detected",)
+
     spec: "CampaignSpec"
     distances: List[int]
     detected: Set[Coord]
@@ -85,7 +88,7 @@ class CampaignOutcome:
         """
         base = (self.spec.label(), tuple(self.distances),
                 self.total_tests, tuple(self.tests_per_level),
-                tuple(sorted(self.detected)))
+                tuple(self.sorted_coords("detected")))
         if self.quarantine is not None:
             base += (self.quarantine.signature(),)
         return base
@@ -213,9 +216,34 @@ class CampaignSpec:
         return self._dispatch()
 
     def _dispatch(self) -> CampaignOutcome:
+        comparison = None
         if self.experiment == "characterize":
-            return self._run_characterize()
-        return self._run_compare()
+            from ..core.detector import run_parbor
+            from ..dram.vendors import vendor
+
+            chip = vendor(self.vendor).make_chip(seed=self.build_seed,
+                                                 n_rows=self.n_rows)
+            self._prepare_chips([chip])
+            cfg = self.config or ParborConfig(sample_size=self.sample_size)
+            result = run_parbor(chip, cfg, seed=self.run_seed,
+                                run_sweep=self.run_sweep, rounds=self.rounds)
+        else:
+            from ..analysis.experiments import compare_module
+            from ..dram.vendors import make_module
+
+            module = make_module(self.vendor, self.index,
+                                 seed=self.build_seed, n_rows=self.n_rows)
+            self._prepare_chips(list(module.chips))
+            comparison, result = compare_module(
+                module, seed=self.run_seed, config=self.config,
+                rounds=self.rounds)
+        return CampaignOutcome(
+            spec=self, distances=list(result.distances),
+            detected=set(result.detected),
+            total_tests=result.total_tests,
+            tests_per_level=list(result.recursion.tests_per_level),
+            stats=result.stats, comparison=comparison, result=result,
+            quarantine=result.quarantine)
 
     def _run_instrumented(self) -> CampaignOutcome:
         """Run under the active session, inside a ``campaign`` span."""
@@ -236,39 +264,3 @@ class CampaignSpec:
             obs.inc("io.rows_read", outcome.stats.rows_read)
             obs.inc("io.retention_waits", outcome.stats.retention_waits)
         return outcome
-
-    def _run_characterize(self) -> CampaignOutcome:
-        from ..core.detector import run_parbor
-        from ..dram.vendors import vendor
-
-        profile = vendor(self.vendor)
-        chip = profile.make_chip(seed=self.build_seed, n_rows=self.n_rows)
-        self._prepare_chips([chip])
-        cfg = self.config or ParborConfig(sample_size=self.sample_size)
-        result = run_parbor(chip, cfg, seed=self.run_seed,
-                            run_sweep=self.run_sweep, rounds=self.rounds)
-        return CampaignOutcome(
-            spec=self, distances=list(result.distances),
-            detected=set(result.detected),
-            total_tests=result.total_tests,
-            tests_per_level=list(result.recursion.tests_per_level),
-            stats=result.stats, result=result,
-            quarantine=result.quarantine)
-
-    def _run_compare(self) -> CampaignOutcome:
-        from ..analysis.experiments import compare_module
-        from ..dram.vendors import make_module
-
-        module = make_module(self.vendor, self.index,
-                             seed=self.build_seed, n_rows=self.n_rows)
-        self._prepare_chips(list(module.chips))
-        comparison, result = compare_module(module, seed=self.run_seed,
-                                            config=self.config,
-                                            rounds=self.rounds)
-        return CampaignOutcome(
-            spec=self, distances=list(result.distances),
-            detected=set(result.detected),
-            total_tests=result.total_tests,
-            tests_per_level=list(result.recursion.tests_per_level),
-            stats=result.stats, comparison=comparison, result=result,
-            quarantine=result.quarantine)
