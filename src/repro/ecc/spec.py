@@ -17,7 +17,7 @@ with three modes:
   rounds, and - only if the
   :func:`repro.robust.integrity.check_ecc_inference` gate passes -
   un-distorts every read back to the raw error set.  A failed or
-  chaos-corrupted inference degrades fail-closed: the campaign runs
+  corrupted inference degrades fail-closed: the campaign runs
   through the lens, every detection is quarantined
   (``"ecc-unrecovered"``) and the verdicts are flagged degraded
   (definite becomes probabilistic), never silently wrong.
@@ -34,7 +34,6 @@ from typing import List, Optional, Tuple
 
 from .. import obs
 from ..robust.integrity import check_ecc_inference
-from ..runtime.chaos import ECC_FAULT_KINDS, corrupt_inferred_ecc
 from ..runtime.seeds import ladder_seed
 from ..runtime.specs import CampaignOutcome, CampaignSpec
 from .beer import infer_ecc, validate_inference
@@ -53,27 +52,15 @@ class EccCampaignSpec(CampaignSpec):
 
     Attributes:
         ecc: ``"null"`` | ``"lens"`` | ``"recover"`` (see module doc).
-        ecc_fault: optional chaos fault corrupting the BEER inference
-            (one of :data:`repro.runtime.chaos.ECC_FAULT_KINDS`;
-            ``"recover"`` mode only).
     """
 
     ecc: str = "lens"
-    ecc_fault: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.ecc not in ECC_MODES:
             raise ValueError(f"unknown ecc mode {self.ecc!r}; "
                              f"expected one of {ECC_MODES}")
-        if self.ecc_fault:
-            if self.ecc_fault not in ECC_FAULT_KINDS:
-                raise ValueError(
-                    f"unknown ecc fault {self.ecc_fault!r}; expected "
-                    f"one of {ECC_FAULT_KINDS}")
-            if self.ecc != "recover":
-                raise ValueError("ecc faults corrupt the inference and "
-                                 "only apply to ecc='recover'")
 
     # -- identity -----------------------------------------------------
 
@@ -87,10 +74,7 @@ class EccCampaignSpec(CampaignSpec):
         # byte-identical - the differential gate depends on this.
         if self.ecc == "null":
             return ()
-        extras: Tuple = ("ecc", self.ecc)
-        if self.ecc_fault:
-            extras += ("ecc-fault", self.ecc_fault)
-        return extras
+        return ("ecc", self.ecc)
 
     def trace_id(self) -> str:
         digest = ladder_seed(self.build_seed, "trace", self.experiment,
@@ -124,10 +108,6 @@ class EccCampaignSpec(CampaignSpec):
         attach_on_die_ecc(probe, code)
         inferred = infer_ecc(
             probe, seed=ladder_seed(self.run_seed, "beer", self.vendor))
-        if self.ecc_fault:
-            inferred = corrupt_inferred_ecc(
-                inferred, self.ecc_fault,
-                ladder_seed(self.run_seed, "ecc-fault"))
         report = validate_inference(
             probe, inferred,
             seed=ladder_seed(self.run_seed, "beer", "validate",

@@ -14,14 +14,12 @@ the engine that makes such fleet campaigns cheap in the simulator:
 
 The original per-cell loops the engine is differentially tested
 against are not part of this package: they live in
-:mod:`repro._oracle`, which only tests and benchmarks import.
+:mod:`repro._oracle`, which only tests and benchmarks import.  Nor is
+fault injection: the chaos suite's crash, hang, corrupt and
+device-noise wrappers live with the tests (``tests/chaos/harness.py``)
+and install themselves from outside.
 """
 
-from .chaos import (ChaosError, ChaosSpec, NoisySpec,
-                    ServiceFaultPlan, apply_service_fault,
-                    chaos_schedule, corrupt_queue_record,
-                    device_noise_schedule, service_chaos_plan,
-                    wrap_spec)
 from .fleet import FleetExecutionError, FleetResult, run_fleet
 from .resilience import (CheckpointJournal, CheckpointMismatch,
                          TargetError, TargetTimeout, backoff_delay,
@@ -34,8 +32,5 @@ __all__ = [
     "FleetResult", "run_fleet",
     "CheckpointJournal", "CheckpointMismatch", "TargetError",
     "TargetTimeout", "backoff_delay", "render_degraded",
-    "ChaosError", "ChaosSpec", "NoisySpec", "ServiceFaultPlan",
-    "apply_service_fault", "chaos_schedule", "corrupt_queue_record",
-    "device_noise_schedule", "service_chaos_plan", "wrap_spec",
     "ladder_seed", "chip_seed", "module_seed", "seed_ladder",
 ]

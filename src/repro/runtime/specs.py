@@ -28,6 +28,7 @@ from ..core.config import ParborConfig
 from ..core.detector import ParborResult
 from ..core.victims import PackedCoordFields
 from ..dram.controller import TestStats
+from ..dram.vendors import VENDORS
 from .seeds import ladder_seed
 
 __all__ = ["CampaignSpec", "CampaignOutcome"]
@@ -138,6 +139,13 @@ class CampaignSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"expected one of {EXPERIMENTS}")
+        if self.vendor not in VENDORS:
+            raise ValueError(f"unknown vendor {self.vendor!r}; "
+                             f"expected one of {sorted(VENDORS)}")
+        if self.n_rows < 1 or self.rounds < 1:
+            raise ValueError("n_rows and rounds must be >= 1")
+        if self.sample_size < 0:
+            raise ValueError("sample_size must be >= 0")
 
     def label(self) -> str:
         return f"{self.experiment}:{self.vendor}{self.index}"
@@ -168,9 +176,9 @@ class CampaignSpec:
         """Extra result-affecting identity parts (subclass hook).
 
         Subclasses that change what a campaign *measures* (not how it
-        is scheduled) - e.g. :class:`repro.runtime.chaos.NoisySpec`'s
-        injected device noise - return the extra parts here so their
-        checkpoint keys never collide with the clean spec's.
+        is scheduled) - e.g. :class:`repro.ecc.EccCampaignSpec`'s
+        on-die ECC mode - return the extra parts here so their
+        checkpoint keys never collide with the plain spec's.
         """
         return ()
 
@@ -179,8 +187,8 @@ class CampaignSpec:
 
         Called once per run, after the chip/module is rebuilt from the
         spec's seeds and before the campaign starts.  The default does
-        nothing; :class:`repro.runtime.chaos.NoisySpec` attaches its
-        seeded device-noise models here.
+        nothing; :class:`repro.ecc.EccCampaignSpec` attaches its on-die
+        ECC stage here.
         """
 
     def trace_id(self) -> str:

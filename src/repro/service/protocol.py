@@ -14,10 +14,11 @@ and checkpoint files, so the whole system speaks one format):
 Campaign specs cross the wire as plain JSON objects mirroring
 :class:`~repro.runtime.specs.CampaignSpec`'s result-affecting fields.
 ``config`` overrides are deliberately not wire-expressible (a service
-tenant names seeds and geometry, not internal thresholds); an optional
-``chaos`` object reconstructs a
-:class:`~repro.runtime.chaos.ChaosSpec` wrapper so the chaos suite can
-drive fault injection through the full submission path.
+tenant names seeds and geometry, not internal thresholds), and nothing
+else is either: any other key - ``chaos`` included - is an unknown
+field and is rejected, so no client can make the daemon write where it
+chooses, sleep, or exit.  Fault injection is armed inside the daemon
+by the test suite, never requested over the wire.
 
 Campaign identity is content-addressed: :func:`campaign_id` hashes the
 tenant and the sorted checkpoint keys through the seed ladder, so
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from ..runtime.seeds import ladder_seed
 from ..runtime.specs import CampaignSpec
@@ -59,21 +60,12 @@ class ProtocolError(ValueError):
 
 
 def spec_to_json(spec: CampaignSpec) -> Dict[str, Any]:
-    """The wire form of a spec (chaos wrappers keep their plan)."""
-    from ..runtime.chaos import ChaosSpec
-
+    """The wire form of a spec: its result-affecting fields only."""
     if spec.config is not None:
         raise ProtocolError(
             "config overrides are not wire-expressible; submit seeds "
             "and geometry only")
-    payload: Dict[str, Any] = {
-        name: getattr(spec, name) for name in SPEC_FIELDS
-    }
-    if isinstance(spec, ChaosSpec) and spec.chaos_dir:
-        payload["chaos"] = {"plan": list(spec.plan),
-                            "dir": spec.chaos_dir,
-                            "hang_s": spec.hang_s}
-    return payload
+    return {name: getattr(spec, name) for name in SPEC_FIELDS}
 
 
 def spec_from_json(payload: Dict[str, Any]) -> CampaignSpec:
@@ -81,8 +73,7 @@ def spec_from_json(payload: Dict[str, Any]) -> CampaignSpec:
     if not isinstance(payload, dict):
         raise ProtocolError(f"spec must be an object, got "
                             f"{type(payload).__name__}")
-    chaos = payload.get("chaos")
-    unknown = set(payload) - set(SPEC_FIELDS) - {"chaos"}
+    unknown = set(payload) - set(SPEC_FIELDS)
     if unknown:
         raise ProtocolError(f"unknown spec fields: {sorted(unknown)}")
     if "experiment" not in payload or "vendor" not in payload:
@@ -103,22 +94,9 @@ def spec_from_json(payload: Dict[str, Any]) -> CampaignSpec:
                 f"spec field {name} must be {kind.__name__}")
         kwargs[name] = value
     try:
-        spec = CampaignSpec(**kwargs)
+        return CampaignSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid spec: {exc}") from None
-    if chaos is not None:
-        from ..runtime.chaos import wrap_spec
-        if not isinstance(chaos, dict) or "plan" not in chaos \
-                or "dir" not in chaos:
-            raise ProtocolError("chaos wrapper needs plan and dir")
-        try:
-            spec = wrap_spec(spec, tuple(chaos["plan"]),
-                             str(chaos["dir"]),
-                             hang_s=float(chaos.get("hang_s", 60.0)))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid chaos wrapper: {exc}") \
-                from None
-    return spec
 
 
 def campaign_id(tenant: str, specs: Sequence[CampaignSpec]) -> str:

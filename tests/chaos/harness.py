@@ -1,54 +1,45 @@
-"""Deterministic chaos harness for the fleet runtime.
+"""Deterministic fault injection for the test suites.
 
 Real memory-testing campaigns die in four characteristic ways: a
-worker process crashes outright, a worker hangs past any useful
-deadline, a transient infrastructure error surfaces as an exception,
-and - nastiest - a run completes but returns a silently corrupted
-result.  This module injects all four from a **seeded schedule**, so a
-chaos run is exactly as reproducible as a clean one and the recovery
-tests in ``tests/chaos`` can assert byte-identical outcomes.
+worker crashes outright, a worker hangs past any useful deadline, a
+transient infrastructure error surfaces as an exception, and - nastiest
+- a run completes but returns a silently corrupted result.  This module
+injects all four from a **seeded schedule**, so a chaos run is exactly
+as reproducible as a clean one and the recovery tests can assert
+byte-identical outcomes.  None of it ships in :mod:`repro`: production
+code has no fault field, no fault-only hook and no fault on the wire.
 
-A :class:`ChaosSpec` wraps a normal
-:class:`~repro.runtime.specs.CampaignSpec` with an injection *plan*: a
-tuple naming the fault to fire on each execution attempt (``""`` for a
-clean attempt).  Attempt counting crosses process boundaries through a
-counter file under ``chaos_dir``, because a crashed worker cannot
-remember anything in memory.  Once the plan is exhausted the spec runs
-clean, so a fleet whose ``retries`` budget covers the plan always
-recovers - and because the wrapped spec's seeds are untouched, the
-recovered outcome is identical to an unperturbed run.
-
-:func:`chaos_schedule` derives a plan for every target from a root
-seed via the SHA-256 seed ladder: same seed, same faults, regardless
-of scheduling, ``--jobs``, or platform.
-
-**Substrate chaos** perturbs the device instead of the process:
-:class:`NoisySpec` attaches a seeded
-:class:`~repro.dram.faults.DeviceNoiseModel` (VRT flips, marginal
-cells, soft errors - optionally activating mid-campaign) to every bank
-of the rebuilt chip, and :func:`device_noise_schedule` derives one
-such spec per target from a root seed.  Combined with ``rounds > 1``
-this drives the robustness invariant tests: the ``definite`` cells of
-a noisy campaign match the noise-free profile, and every injected cell
-ends in quarantine.
+* :class:`ChaosSpec` wraps a :class:`~repro.runtime.specs.CampaignSpec`
+  with a per-attempt fault *plan*; attempts are counted in files under
+  ``chaos_dir`` because a crashed worker cannot remember anything.
+  Once the plan is exhausted the spec runs clean, and since the wrapped
+  seeds are untouched the recovered outcome equals an unperturbed run.
+  :func:`chaos_schedule` derives every plan from a root seed.
+* :func:`ecc_fault` and :func:`daemon_faults` install faults from
+  outside, the way :func:`repro._oracle.reference` installs the
+  reference loops: each replacement goes where its caller looks the
+  name up, the originals come back on exit, and nesting is refused.
+* :class:`NoisySpec` perturbs the device instead of the process: a
+  seeded :class:`~repro.dram.faults.DeviceNoiseModel` on every bank of
+  the rebuilt chip (:func:`device_noise_schedule` draws one per target).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..dram.faults import DeviceNoiseModel, NoiseSpec
-from .seeds import ladder_seed
-from .specs import CampaignOutcome, CampaignSpec
-
-__all__ = ["ECC_FAULT_KINDS", "FAULT_KINDS", "SERVICE_FAULT_KINDS",
-           "ChaosError", "ChaosSpec", "NoisySpec", "ServiceFaultPlan",
-           "apply_service_fault", "chaos_schedule",
-           "corrupt_inferred_ecc", "corrupt_queue_record",
-           "device_noise_schedule", "service_chaos_plan", "wrap_spec"]
+from repro.dram.faults import DeviceNoiseModel, NoiseSpec
+from repro.ecc import spec as ecc_spec
+from repro.runtime.resilience import CheckpointJournal
+from repro.runtime.seeds import ladder_seed
+from repro.runtime.specs import CampaignOutcome, CampaignSpec
+from repro.service import daemon
 
 FAULT_KINDS = ("crash", "hang", "transient", "corrupt")
 
@@ -72,6 +63,13 @@ class ChaosError(RuntimeError):
     """An injected (deliberate) failure."""
 
 
+def _respec(cls, spec: CampaignSpec, **fields):
+    """A ``cls`` carrying every ``CampaignSpec`` field of ``spec``."""
+    base = {f.name: getattr(spec, f.name)
+            for f in dataclasses.fields(CampaignSpec)}
+    return cls(**{**base, **fields})
+
+
 @dataclass(frozen=True)
 class ChaosSpec(CampaignSpec):
     """A campaign spec that injects scheduled faults when executed.
@@ -83,14 +81,12 @@ class ChaosSpec(CampaignSpec):
         chaos_dir: directory holding the cross-process attempt
             counters (one file per spec); must exist.  An empty value
             disables injection entirely.
-        hang_s: how long the ``"hang"`` fault sleeps.  Kept finite so
-            an unwatched chaos run eventually fails loudly instead of
-            stalling forever; a watchdog is expected to kill it first.
+        hang_s: how long the ``"hang"`` fault sleeps; finite, so an
+            unwatched hang eventually fails loudly.
 
-    The identity fields (seeds, geometry) are inherited unchanged, so
-    ``label()``, ``checkpoint_key()`` and the outcome signature all
-    match the wrapped spec's - a recovered chaos target is
-    indistinguishable from a clean run of the original.
+    The identity fields are inherited unchanged, so ``label()``,
+    ``checkpoint_key()`` and the outcome signature all match the
+    wrapped spec's.
     """
 
     plan: Tuple[str, ...] = ()
@@ -104,25 +100,15 @@ class ChaosSpec(CampaignSpec):
                 raise ValueError(f"unknown chaos fault {fault!r}; "
                                  f"expected one of {FAULT_KINDS}")
 
-    def _counter_path(self) -> str:
-        return os.path.join(self.chaos_dir,
-                            self.checkpoint_key().replace(":", "_")
-                            + ".attempts")
-
     def _next_attempt(self) -> int:
         """Increment and return this spec's execution count (1-based).
 
-        The count lives on disk so it survives worker crashes.  The
-        update must be write-to-temp + ``os.replace``: a worker can be
-        SIGKILLed at any point (watchdog kill, pool-break collateral),
-        and an in-place truncating rewrite killed between open and
-        flush would leave an *empty* counter, rewinding the count and
-        replaying already-fired faults until the retry budget drains.
-        With the atomic replace a killed update merely loses its own
-        increment - the count is monotonic, so a plan slot can never
-        fire twice.
+        Write-to-temp + ``os.replace``: a worker killed mid-update only
+        loses its own increment, so a plan slot never fires twice.
         """
-        path = self._counter_path()
+        path = os.path.join(self.chaos_dir,
+                            self.checkpoint_key().replace(":", "_")
+                            + ".attempts")
         try:
             with open(path) as fh:
                 count = int(fh.read().strip() or 0)
@@ -159,13 +145,8 @@ class ChaosSpec(CampaignSpec):
 def wrap_spec(spec: CampaignSpec, plan: Sequence[str], chaos_dir: str,
               hang_s: float = 60.0) -> ChaosSpec:
     """A :class:`ChaosSpec` carrying ``spec``'s identity plus ``plan``."""
-    return ChaosSpec(
-        experiment=spec.experiment, vendor=spec.vendor, index=spec.index,
-        build_seed=spec.build_seed, run_seed=spec.run_seed,
-        n_rows=spec.n_rows, sample_size=spec.sample_size,
-        run_sweep=spec.run_sweep, rounds=spec.rounds, config=spec.config,
-        trace=spec.trace, plan=tuple(plan), chaos_dir=chaos_dir,
-        hang_s=hang_s)
+    return _respec(ChaosSpec, spec, plan=tuple(plan), chaos_dir=chaos_dir,
+                   hang_s=hang_s)
 
 
 def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
@@ -179,22 +160,10 @@ def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
     Every draw comes from ``ladder_seed(seed, "chaos", <target
     identity>, ...)``, so the schedule depends only on the root seed
     and each target's identity - never on list order or process
-    layout.
-
-    Args:
-        seed: chaos root seed.
-        specs: targets to perturb.
-        chaos_dir: scratch directory for the attempt counters.
-        faults: fault kinds to draw from (e.g. exclude ``"crash"`` for
-            in-process serial fleets, ``"corrupt"`` when no verifying
-            checkpoint will catch it).
-        max_faults_per_target: plan-length cap; keep it at or below
-            the fleet's ``retries`` so recovery is guaranteed.
-        fault_rate: probability (per plan slot) that a fault fires.
-        hang_s: sleep length of injected hangs.
-
-    Returns:
-        One :class:`ChaosSpec` per input spec, in input order.
+    layout.  Keep ``max_faults_per_target`` at or below the fleet's
+    ``retries`` so recovery is guaranteed; leave ``"crash"`` out of
+    ``faults`` for in-process fleets and ``"corrupt"`` out when no
+    verifying checkpoint will catch it.
     """
     if not 0 <= fault_rate <= 1:
         raise ValueError("fault_rate must be in [0, 1]")
@@ -223,21 +192,35 @@ def chaos_schedule(seed: int, specs: Sequence[CampaignSpec],
     return wrapped
 
 
+# -- faults installed from outside ----------------------------------------
+
+_installed: List[Tuple[object, str, object]] = []
+
+
+@contextmanager
+def _patched(*sites: Tuple[object, str, object]) -> Iterator[None]:
+    """Install ``(owner, attr, replacement)`` sites; restore on exit."""
+    if _installed:
+        raise RuntimeError("a fault is already injected")
+    try:
+        for owner, attr, replacement in sites:
+            _installed.append((owner, attr, getattr(owner, attr)))
+            setattr(owner, attr, replacement)
+        yield
+    finally:
+        while _installed:
+            owner, attr, original = _installed.pop()
+            setattr(owner, attr, original)
+
+
 def corrupt_inferred_ecc(inferred, kind: str, seed: int):
     """Corrupt a BEER inference result with a seeded ECC fault.
 
     Models the two failure modes of code recovery on real silicon: a
     stuck syndrome bit in the probe path (one parity-check row reads
-    all-zero) and a subtly wrong recovered matrix (one bit off).  The
-    campaign must never turn either into wrong definite verdicts - the
-    validation gate has to catch both and degrade to quarantine, which
-    is exactly what ``tests/chaos/test_ecc_chaos.py`` asserts.
-
-    Returns a new :class:`repro.ecc.beer.InferredEcc`; the input is
-    untouched (it is frozen).
+    all-zero) and a subtly wrong recovered matrix (one bit off).
+    Returns a new :class:`repro.ecc.beer.InferredEcc`.
     """
-    import dataclasses
-
     if kind not in ECC_FAULT_KINDS:
         raise ValueError(f"unknown ecc fault {kind!r}; expected one "
                          f"of {ECC_FAULT_KINDS}")
@@ -250,9 +233,22 @@ def corrupt_inferred_ecc(inferred, kind: str, seed: int):
     else:
         bit = ladder_seed(seed, "ecc-fault", "bit") % 64
         basis[row] ^= 1 << bit
-    return dataclasses.replace(
-        inferred, basis=tuple(basis),
-        note=f"chaos:{kind}@row{row}")
+    return dataclasses.replace(inferred, basis=tuple(basis),
+                               note=f"chaos:{kind}@row{row}")
+
+
+@contextmanager
+def ecc_fault(kind: str, seed: int = 0) -> Iterator[None]:
+    """Corrupt every BEER inference an ``EccCampaignSpec`` makes in the
+    block, by wrapping ``repro.ecc.spec.infer_ecc``."""
+    if kind not in ECC_FAULT_KINDS:
+        raise ValueError(f"unknown ecc fault {kind!r}")
+    infer = ecc_spec.infer_ecc
+
+    def infer_ecc(*args, **kwargs):
+        return corrupt_inferred_ecc(infer(*args, **kwargs), kind, seed)
+    with _patched((ecc_spec, "infer_ecc", infer_ecc)):
+        yield
 
 
 # -- service-level chaos ---------------------------------------------------
@@ -263,10 +259,9 @@ class ServiceFaultPlan:
     """One seeded service-level fault: what fires, and where.
 
     ``shard`` / ``target`` locate the victim in *checkpoint-key
-    order* - the same pure-function shard layout the service's queue
-    uses (:func:`repro.service.queue.partition_shards`) - so a plan
-    names the identical victim on every replay, resubmission, or
-    restart.
+    order* - the service's shard layout
+    (:func:`repro.service.queue.partition_shards`) - so a plan names
+    the identical victim on every replay, resubmission, or restart.
     """
 
     kind: str
@@ -285,10 +280,8 @@ def service_chaos_plan(seed: int, n_targets: int, shard_size: int,
     """Draw one seeded service fault for a campaign of ``n_targets``.
 
     Every draw comes from ``ladder_seed(seed, "service-chaos", ...)``:
-    same seed, same fault, same victim shard/target - regardless of
-    platform or scheduling.  Distinct seeds move the fault around, so
-    a test sweeping a handful of seeds exercises kills in different
-    shards and positions.
+    same seed, same fault, same victim; distinct seeds move the fault
+    around the shard layout.
     """
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
@@ -310,38 +303,53 @@ def service_chaos_plan(seed: int, n_targets: int, shard_size: int,
 def apply_service_fault(plan: ServiceFaultPlan,
                         specs: Sequence[CampaignSpec],
                         chaos_dir: str, shard_size: int,
-                        hang_s: float = 60.0) -> list:
-    """Arm a service fault by wrapping the plan's victim target.
+                        hang_s: float = 60.0) -> Dict:
+    """The ``faults`` (see :func:`daemon_faults`) realising ``plan``.
 
-    The victim (located in checkpoint-key order, mirroring the
-    service's shard layout) is wrapped so its *first* execution
-    realises the service-level failure:
-
-    * ``kill-daemon`` -> a ``"crash"`` fault.  Under the daemon's
-      in-process shard execution (``jobs=1``, no ``timeout_s``) the
-      ``os._exit`` takes the whole daemon down mid-shard - the moral
-      equivalent of a SIGKILL between two checkpoint appends, and
-      exactly as deterministic as the seed.
-    * ``hang-shard`` -> a ``"hang"`` fault: the target sleeps past
-      the shard watchdog.  A daemon with ``timeout_s`` runs every
-      target in a killable child process at any ``jobs``, so
-      ``run_fleet``'s watchdog kills it within ``timeout_s + 1`` s.
-    * ``corrupt-queue`` targets the journal file, not a spec - use
-      :func:`corrupt_queue_record`; the specs pass through unwrapped.
-
-    The attempt counter in ``chaos_dir`` survives the daemon (put it
-    inside the service's state dir), so after a restart the retry
-    runs clean and recovery can be asserted byte-identical.
-
-    Returns the specs in their input order, victim wrapped.
+    * ``kill-daemon``: the daemon exits as it journals the victim,
+      between two fsync'd checkpoint appends, at any ``jobs``.
+    * ``hang-shard``: the victim's first attempt sleeps past the
+      watchdog; its attempt counter lives in ``chaos_dir``.
+    * ``corrupt-queue`` tampers with the journal file instead (see
+      :func:`corrupt_queue_record`); no fault is armed.
     """
     if plan.kind == "corrupt-queue":
-        return list(specs)
-    ordered = sorted(specs, key=lambda s: s.checkpoint_key())
+        return {}
+    ordered = sorted(spec.checkpoint_key() for spec in specs)
     victim = ordered[plan.shard * shard_size + plan.target]
-    fault = "crash" if plan.kind == "kill-daemon" else "hang"
-    wrapped = wrap_spec(victim, (fault,), chaos_dir, hang_s=hang_s)
-    return [wrapped if spec is victim else spec for spec in specs]
+    if plan.kind == "kill-daemon":
+        return {"kill": [victim]}
+    return {"dir": chaos_dir, "hang_s": hang_s, "plans": {victim: ["hang"]}}
+
+
+@contextmanager
+def daemon_faults(faults: Dict) -> Iterator[None]:
+    """Arm ``faults`` in this (daemon) process for the block.
+
+    ``faults`` is JSON, ``{"plans": {<checkpoint key>: [<fault>, ...]},
+    "dir": <counter dir>, "hang_s": <s>, "kill": [<checkpoint key>]}``
+    with every entry optional: targets in ``plans`` run as
+    :class:`ChaosSpec`, and journaling a target in ``kill`` exits with
+    :data:`CRASH_EXIT_CODE`.
+    """
+    plans = faults.get("plans", {})
+    kill = set(faults.get("kill", ()))
+    fleet, record = daemon.run_fleet, CheckpointJournal.record
+
+    def run_fleet(specs, **kwargs):
+        specs = [wrap_spec(spec, plans[spec.checkpoint_key()],
+                           faults["dir"], faults.get("hang_s", 60.0))
+                 if spec.checkpoint_key() in plans else spec
+                 for spec in specs]
+        return fleet(specs, **kwargs)
+
+    def journal_record(journal, spec, outcome):
+        if spec.checkpoint_key() in kill:
+            os._exit(CRASH_EXIT_CODE)
+        return record(journal, spec, outcome)
+    with _patched((daemon, "run_fleet", run_fleet),
+                  (CheckpointJournal, "record", journal_record)):
+        yield
 
 
 def corrupt_queue_record(path: str, seed: int,
@@ -350,18 +358,11 @@ def corrupt_queue_record(path: str, seed: int,
     """Tamper with one seeded record of a service queue journal.
 
     Rewrites the victim line as still-valid JSON whose content no
-    longer matches its CRC stamp (the signature of bit rot or a torn
-    overwrite, as opposed to a truncated tail).  Replay must *detect*
-    the mismatch and drop only that record; dropping a ``shard_done``
-    merely re-runs the shard, which the checkpoint journal then
-    verifies.
-
-    Returns the zero-based line index that was corrupted.
-
-    Raises ValueError when the journal holds no record of ``kinds``.
+    longer matches its CRC stamp (bit rot or a torn overwrite, as
+    opposed to a truncated tail).  Returns the zero-based line index
+    that was corrupted; raises ValueError when the journal holds no
+    record of ``kinds``.
     """
-    import json
-
     with open(path) as fh:
         lines = fh.read().splitlines()
     victims = []
@@ -386,6 +387,9 @@ def corrupt_queue_record(path: str, seed: int,
     return idx
 
 
+# -- substrate chaos -------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class NoisySpec(CampaignSpec):
     """A campaign spec whose rebuilt chips carry injected device noise.
@@ -394,15 +398,13 @@ class NoisySpec(CampaignSpec):
         noise: the :class:`~repro.dram.faults.NoiseSpec` describing the
             injected populations; ``None`` (or an empty spec) runs
             clean, leaving the spec byte-equivalent to its base.
-        noise_seed: root of the per-bank noise seed ladder.  Each bank
-            gets its own :class:`~repro.dram.faults.DeviceNoiseModel`
-            seeded by ``ladder_seed(noise_seed, "device-noise",
-            chip, bank)``, so the injected cell set is a pure function
-            of ``(noise_seed, geometry)`` - never of scheduling.
+        noise_seed: root of the per-bank noise seed ladder
+            (``ladder_seed(noise_seed, "device-noise", chip, bank)``),
+            so the injected cell set is a pure function of
+            ``(noise_seed, geometry)`` - never of scheduling.
 
-    The injected noise *does* change what the campaign measures, so it
-    joins the checkpoint key (unlike :class:`ChaosSpec`'s process
-    faults, which must not).
+    The injected noise changes what the campaign measures, so it joins
+    the checkpoint key (unlike :class:`ChaosSpec`'s process faults).
     """
 
     noise: Optional[NoiseSpec] = None
@@ -425,14 +427,9 @@ class NoisySpec(CampaignSpec):
                                      chip_idx, bank_idx))
 
     def injected_cells(self):
-        """Ground truth: every injected cell as sweep coordinates.
-
-        Rebuilds the per-bank noise models (cheap - position draws
-        only) and maps their physical columns through each bank's
-        address scrambling, yielding ``(chip, bank, row, sys_col)``
-        tuples comparable with campaign detections.
-        """
-        from ..dram.vendors import make_module, vendor
+        """Ground truth: every injected cell as ``(chip, bank, row,
+        sys_col)`` sweep coordinates, comparable with detections."""
+        from repro.dram.vendors import make_module, vendor
 
         if self.noise is None or self.noise.empty:
             return set()
@@ -460,33 +457,17 @@ def device_noise_schedule(seed: int, specs: Sequence[CampaignSpec],
                           rounds: Optional[int] = None) -> list:
     """Wrap ``specs`` with seeded device noise (substrate chaos).
 
-    Every target keeps its own identity seeds; only the *noise* seed
-    is drawn from the ladder (``ladder_seed(seed, "device-noise",
-    <target identity>)``), so the injected populations depend on the
-    root seed and the target - never on list order, ``--jobs``, or
-    platform.
-
-    Args:
-        seed: noise root seed.
-        specs: targets to perturb.
-        noise: the population spec shared by every target (use
-            ``active_after`` to arm the noise mid-campaign).
-        rounds: optionally override every spec's repeat-and-vote
-            rounds at the same time (``None`` keeps each spec's own).
-
-    Returns:
-        One :class:`NoisySpec` per input spec, in input order.
+    Each target keeps its identity seeds; only its noise seed is drawn
+    (``ladder_seed(seed, "device-noise", <target identity>)``), so the
+    injected populations never depend on list order, ``--jobs`` or
+    platform.  ``rounds`` optionally overrides every spec's
+    repeat-and-vote rounds (``None`` keeps each spec's own).
     """
-    wrapped = []
-    for spec in specs:
-        identity = (spec.experiment, spec.vendor, spec.index,
-                    spec.run_seed)
-        wrapped.append(NoisySpec(
-            experiment=spec.experiment, vendor=spec.vendor,
-            index=spec.index, build_seed=spec.build_seed,
-            run_seed=spec.run_seed, n_rows=spec.n_rows,
-            sample_size=spec.sample_size, run_sweep=spec.run_sweep,
-            rounds=spec.rounds if rounds is None else rounds,
-            config=spec.config, trace=spec.trace, noise=noise,
-            noise_seed=ladder_seed(seed, "device-noise", *identity)))
-    return wrapped
+    return [
+        _respec(NoisySpec, spec, noise=noise,
+                rounds=spec.rounds if rounds is None else rounds,
+                noise_seed=ladder_seed(seed, "device-noise",
+                                       spec.experiment, spec.vendor,
+                                       spec.index, spec.run_seed))
+        for spec in specs
+    ]

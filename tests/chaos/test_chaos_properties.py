@@ -10,9 +10,10 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import chaos_schedule, run_fleet
+from repro.runtime import run_fleet
 
 from .conftest import small_specs
+from .harness import chaos_schedule
 
 COMMON = dict(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

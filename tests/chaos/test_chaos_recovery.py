@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro import obs
-from repro.runtime import chaos_schedule, run_fleet, wrap_spec
+from repro.runtime import run_fleet
 
 from .conftest import small_specs
+from .harness import chaos_schedule, wrap_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 

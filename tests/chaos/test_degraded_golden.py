@@ -13,9 +13,10 @@ import pathlib
 
 import pytest
 
-from repro.runtime import render_degraded, run_fleet, wrap_spec
+from repro.runtime import render_degraded, run_fleet
 
 from .conftest import small_specs
+from .harness import wrap_spec
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "goldens"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDENS"))

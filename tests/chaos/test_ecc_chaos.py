@@ -5,10 +5,10 @@ single flipped matrix bit (caught only behaviorally, on held-out
 probes) - must trip the inference gate.  The campaign then runs
 through the distorted lens but every detection is quarantined
 ``"ecc-unrecovered"`` and the verdicts are capped: corrupted inference
-may cost coverage, never produce a wrong definite verdict.
+may cost coverage, never produce a wrong definite verdict.  The
+campaign-level faults are installed from outside by
+:func:`.harness.ecc_fault`; the spec itself has no fault field.
 """
-
-import dataclasses
 
 import pytest
 
@@ -16,9 +16,11 @@ from repro.ecc import (EccCampaignSpec, HammingSecDed,
                        attach_on_die_ecc, infer_ecc,
                        validate_inference)
 from repro.dram import vendor
+from repro.ecc import spec as ecc_spec
 from repro.robust.integrity import EccInferenceError, check_ecc_inference
 from repro.runtime import ladder_seed
-from repro.runtime.chaos import ECC_FAULT_KINDS, corrupt_inferred_ecc
+
+from .harness import ECC_FAULT_KINDS, corrupt_inferred_ecc, ecc_fault
 
 KW = dict(experiment="characterize", vendor="A", build_seed=7,
           run_seed=2016, n_rows=48, sample_size=500)
@@ -86,8 +88,12 @@ class TestGate:
 @pytest.mark.parametrize("fault", ECC_FAULT_KINDS)
 class TestDegradedCampaign:
     def test_fails_closed_never_wrong(self, fault):
-        outcome = EccCampaignSpec(**KW, rounds=2, ecc="recover",
-                                  ecc_fault=fault).run()
+        with ecc_fault(fault):
+            with pytest.raises(RuntimeError, match="already injected"):
+                with ecc_fault(fault):
+                    pass
+            outcome = EccCampaignSpec(**KW, rounds=2, ecc="recover").run()
+        assert ecc_spec.infer_ecc is infer_ecc  # restored on exit
         verdicts = outcome.result.verdicts
         assert verdicts.degraded
         # No definite verdicts survive a corrupted inference...
@@ -96,10 +102,3 @@ class TestDegradedCampaign:
         assert len(outcome.detected) > 0
         for cell in outcome.detected:
             assert outcome.quarantine.reasons[cell] == "ecc-unrecovered"
-
-
-def test_fault_requires_recover_mode():
-    with pytest.raises(ValueError):
-        EccCampaignSpec(**KW, ecc="lens", ecc_fault="wrong-matrix")
-    with pytest.raises(ValueError):
-        EccCampaignSpec(**KW, ecc="recover", ecc_fault="bad-kind")

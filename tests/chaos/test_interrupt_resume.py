@@ -20,15 +20,14 @@ from repro.runtime import run_fleet
 
 from .conftest import small_specs
 
-HERE = pathlib.Path(__file__).parent
-SRC = HERE.parents[1] / "src"
+ROOT = pathlib.Path(__file__).parents[2]
 
 CHILD = """\
 import sys
-conftest_dir, ckpt, chaos_dir = sys.argv[1], sys.argv[2], sys.argv[3]
-sys.path.insert(0, conftest_dir)
-from conftest import small_specs
-from repro.runtime import run_fleet, wrap_spec
+ckpt, chaos_dir = sys.argv[1], sys.argv[2]
+from repro.runtime import run_fleet
+from tests.chaos.conftest import small_specs
+from tests.chaos.harness import wrap_spec
 specs = small_specs()
 specs[1] = wrap_spec(specs[1], ("hang",), chaos_dir, hang_s=120.0)
 run_fleet(specs, jobs=1, checkpoint=ckpt)
@@ -41,9 +40,9 @@ def test_sigint_flushes_journal_and_resume_completes(tmp_path,
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(HERE), str(ckpt),
-         str(chaos_dir)],
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        [sys.executable, "-c", CHILD, str(ckpt), str(chaos_dir)],
+        env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT}",
+             "PATH": "/usr/bin:/bin"},
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         # Wait for the first completed target to reach the journal;

@@ -8,10 +8,12 @@ in-process ``run_fleet`` - not merely "it completed", but *verified*
 (the daemon's default ``resume_mode="verify"`` re-checks journaled
 outcomes on the way back up).
 
-The faults are seeded through :func:`repro.runtime.service_chaos_plan`
-so every run of this suite kills the same shard at the same target for
-a given seed; the kill test sweeps three seeds to move the crash
-around the shard layout.
+The faults are seeded through :func:`.harness.service_chaos_plan` so
+every run of this suite kills the same shard at the same target for a
+given seed; the kill test sweeps three seeds to move the crash around
+the shard layout.  They are armed inside the daemon process
+(``start_daemon(..., faults=...)``); nothing crosses the wire but
+plain specs.
 """
 
 import json
@@ -19,66 +21,65 @@ import time
 
 import pytest
 
-from repro.runtime import (apply_service_fault, corrupt_queue_record,
-                           service_chaos_plan)
-from repro.runtime.chaos import CRASH_EXIT_CODE
 from repro.service import client
-from tests.service.harness import (result_signature_map,
+from tests.service.harness import (kill_daemon, result_signature_map,
                                    signature_map, start_daemon,
                                    stop_daemon)
 
 from .conftest import small_specs
+from .harness import (CRASH_EXIT_CODE, apply_service_fault,
+                      corrupt_queue_record, service_chaos_plan)
 
 SHARD_SIZE = 2
 
 
-def _submit_and_expect_crash(tmp_path, wrapped, proc):
+def _submit_and_expect_crash(tmp_path, specs, proc):
     """Submit the armed campaign and wait for the daemon to die."""
     sock = str(tmp_path / "svc.sock")
-    response = client.submit(sock, wrapped, tenant="chaos")
+    response = client.submit(sock, specs, tenant="chaos")
     assert response["ok"] and response["shards"] == 2
     returncode = proc.wait(timeout=120)
     assert returncode == CRASH_EXIT_CODE  # injected os._exit, nothing else
     return response["campaign"]
 
 
-@pytest.mark.parametrize("seed", [7, 19, 41])
+@pytest.mark.parametrize("seed,jobs", [
+    pytest.param(7, 1, id="7"), pytest.param(19, 1, id="19"),
+    pytest.param(41, 1, id="41"), pytest.param(7, 2, id="7-jobs2"),
+])
 def test_kill_daemon_mid_shard_recovers_byte_identical(
-        tmp_path, clean_baseline, seed):
+        tmp_path, clean_baseline, seed, jobs):
     """SIGKILL-equivalent mid-shard: restart resumes and verifies.
 
-    The seeded ``kill-daemon`` fault fires ``os._exit`` inside a
-    target while the daemon executes the shard in-process - the
-    daemon dies between two fsync'd checkpoint appends, exactly like
-    a kill -9.  A fresh daemon on the same state dir must replay the
-    queue, re-run only what never finished (``resume="verify"``
+    The seeded ``kill-daemon`` fault fires ``os._exit`` in the daemon
+    process itself as it journals the victim target, at any ``jobs``
+    - the daemon dies between two fsync'd checkpoint appends, exactly
+    like a kill -9.  A fresh daemon on the same state dir must replay
+    the queue, re-run only what never finished (``resume="verify"``
     re-checks what did), and deliver signatures identical to the
     clean baseline.
     """
     sock = tmp_path / "svc.sock"
     state = tmp_path / "state"
-    chaos_dir = state / "chaos"
-    chaos_dir.mkdir(parents=True)
 
     specs = small_specs()
     plan = service_chaos_plan(seed, len(specs), SHARD_SIZE,
                               kinds=("kill-daemon",))
-    wrapped = apply_service_fault(plan, specs, str(chaos_dir),
-                                  SHARD_SIZE)
+    faults = apply_service_fault(plan, specs, str(state), SHARD_SIZE)
 
-    proc = start_daemon(sock, state, shard_size=SHARD_SIZE)
+    proc = start_daemon(sock, state, faults=faults,
+                        shard_size=SHARD_SIZE, jobs=jobs)
     try:
-        campaign = _submit_and_expect_crash(tmp_path, wrapped, proc)
+        campaign = _submit_and_expect_crash(tmp_path, specs, proc)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        kill_daemon(proc)
 
     # The kill left durable state behind: the submit record at
     # minimum, and whatever checkpoint appends beat the crash.
     assert (state / "queue.jsonl").exists()
 
-    restarted = start_daemon(sock, state, shard_size=SHARD_SIZE)
+    restarted = start_daemon(sock, state, shard_size=SHARD_SIZE,
+                             jobs=jobs)
     try:
         results = client.wait_results(str(sock), campaign,
                                       timeout=300.0)
@@ -113,14 +114,15 @@ def test_hang_shard_killed_by_watchdog_and_retried(tmp_path,
     specs = small_specs()
     plan = service_chaos_plan(5, len(specs), SHARD_SIZE,
                               kinds=("hang-shard",))
-    wrapped = apply_service_fault(plan, specs, str(chaos_dir),
-                                  SHARD_SIZE, hang_s=3600.0)
+    faults = apply_service_fault(plan, specs, str(chaos_dir),
+                                 SHARD_SIZE, hang_s=3600.0)
     timeout_s = 5.0
 
-    proc = start_daemon(sock, state, shard_size=SHARD_SIZE, jobs=jobs,
+    proc = start_daemon(sock, state, faults=faults,
+                        shard_size=SHARD_SIZE, jobs=jobs,
                         timeout_s=timeout_s)
     try:
-        response = client.submit(str(sock), wrapped, tenant="chaos")
+        response = client.submit(str(sock), specs, tenant="chaos")
         results = client.wait_results(str(sock),
                                       response["campaign"],
                                       timeout=300.0)
@@ -206,9 +208,7 @@ def test_sigterm_drains_gracefully_and_restart_completes(
         proc.send_signal(signal_mod.SIGTERM)
         assert proc.wait(timeout=120) == 0  # drained, not killed
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        kill_daemon(proc)
 
     restarted = start_daemon(sock, state, shard_size=1)
     try:

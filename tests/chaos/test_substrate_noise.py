@@ -20,7 +20,8 @@ import pytest
 from repro.dcref import guardbanded_bins, under_refresh_report
 from repro.dram.faults import NoiseSpec
 from repro.runtime import CampaignSpec, chip_seed, run_fleet
-from repro.runtime.chaos import device_noise_schedule
+
+from .harness import device_noise_schedule
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 

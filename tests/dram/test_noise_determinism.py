@@ -12,7 +12,7 @@ import pytest
 from repro.dram import FaultSpec, RandomFaultModel
 from repro.dram.faults import DeviceNoiseModel, NoiseSpec
 from repro.runtime import CampaignSpec, chip_seed, run_fleet
-from repro.runtime.chaos import device_noise_schedule
+from tests.chaos.harness import device_noise_schedule
 
 
 def fault_model(seed, **kwargs):

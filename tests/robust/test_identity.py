@@ -14,7 +14,7 @@ from repro.dram import FaultSpec, vendor
 from repro.dram.faults import NoiseSpec, RandomFaultModel
 from repro.robust import RoundsPolicy
 from repro.runtime import CampaignSpec
-from repro.runtime.chaos import device_noise_schedule
+from tests.chaos.harness import device_noise_schedule
 
 TINY = dict(seed=5, n_rows=48)
 

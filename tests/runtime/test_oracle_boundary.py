@@ -1,11 +1,14 @@
-"""The reference oracle stays outside production.
+"""The reference oracle and fault injection stay outside production.
 
 :mod:`repro._oracle` holds the original per-cell loops the packed
-engine is proven against.  Production code must never reach it: no
-module under ``src/repro`` but the oracle itself may import it, and
-the process-global kernel switch it replaced must not come back.  The
-oracle's :func:`~repro._oracle.reference` must also leave the engine
-exactly as it found it, even when the block it guards raises.
+engine is proven against, and ``tests/chaos/harness.py`` the fault
+injection the recovery suites use.  Production code must never reach
+either: no module under ``src/repro`` but the oracle itself may import
+the oracle, the tests or a chaos module, and neither the
+process-global kernel switch nor the production fault hooks may come
+back.  The oracle's :func:`~repro._oracle.reference` must also leave
+the engine exactly as it found it, even when the block it guards
+raises.
 """
 
 import ast
@@ -22,6 +25,13 @@ ORACLE = SRC / "_oracle.py"
 #: Names of the deleted global kernel switch.
 SWITCH_NAMES = {"_REFERENCE", "reference_kernels_enabled",
                 "use_reference_kernels", "reference_kernels"}
+
+#: Names of the fault injection that left production.
+FAULT_NAMES = {"ChaosSpec", "wrap_spec", "corrupt_inferred_ecc",
+               "ecc_fault"}
+
+#: Module-path components production must never import.
+TEST_ONLY = {"_oracle", "tests", "chaos"}
 
 
 def _python_files(*dirs):
@@ -58,29 +68,41 @@ def _identifiers(tree):
             yield node.arg
 
 
+def _offenders(names, *dirs):
+    """``path: names`` for every module in ``dirs`` using ``names``."""
+    offenders = []
+    for path in _python_files(*dirs):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = names & set(_identifiers(tree))
+        if found:
+            offenders.append(f"{path.relative_to(ROOT)}: {sorted(found)}")
+    return offenders
+
+
 def test_no_production_module_imports_the_oracle():
     offenders = []
     for path in _python_files("src"):
         if path == ORACLE:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        if any(name.rsplit(".", 1)[-1] == "_oracle"
-               or "._oracle." in f".{name}."
+        if any(TEST_ONLY & set(name.split("."))
                for name in _imported_modules(tree)):
             offenders.append(str(path.relative_to(ROOT)))
-    assert not offenders, f"production modules import _oracle: {offenders}"
+    assert not offenders, (f"production modules import one of "
+                           f"{sorted(TEST_ONLY)}: {offenders}")
 
 
 def test_global_kernel_switch_is_gone():
     assert not (SRC / "runtime" / "compat.py").exists()
-    offenders = []
-    for path in _python_files("src", "tests", "benchmarks", "perfbench",
-                              "scripts", "examples"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found = SWITCH_NAMES & set(_identifiers(tree))
-        if found:
-            offenders.append(f"{path.relative_to(ROOT)}: {sorted(found)}")
+    offenders = _offenders(SWITCH_NAMES, "src", "tests", "benchmarks",
+                           "perfbench", "scripts", "examples")
     assert not offenders, f"kernel-switch names remain: {offenders}"
+
+
+def test_fault_injection_is_out_of_production():
+    assert not (SRC / "runtime" / "chaos.py").exists()
+    offenders = _offenders(FAULT_NAMES, "src")
+    assert not offenders, f"fault-injection names remain: {offenders}"
 
 
 def test_reference_restores_every_site_when_the_body_raises():

@@ -15,8 +15,8 @@ import pytest
 from repro import obs
 from repro.runtime import (CampaignSpec, CheckpointJournal,
                            CheckpointMismatch, FleetExecutionError,
-                           backoff_delay, chip_seed, run_fleet,
-                           wrap_spec)
+                           backoff_delay, chip_seed, run_fleet)
+from tests.chaos.harness import wrap_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 

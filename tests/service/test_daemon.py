@@ -11,7 +11,7 @@ import socket as socket_mod
 
 import pytest
 
-from repro.runtime import CampaignSpec, chip_seed, wrap_spec
+from repro.runtime import CampaignSpec, chip_seed
 from repro.service import ServiceConfig, client
 from tests.service.harness import start_daemon, stop_daemon
 
@@ -96,9 +96,10 @@ def test_failing_shard_is_retried_with_backoff(tmp_path):
     specs = _specs(2)
     # retries=0 means the transient fault fails the whole fleet ->
     # the *shard* retry (not the fleet's) must recover it.
-    specs[0] = wrap_spec(specs[0], ("transient",), str(chaos_dir))
-    proc = start_daemon(sock, state, shard_size=2, retries=0,
-                        shard_retries=1)
+    faults = {"dir": str(chaos_dir),
+              "plans": {specs[0].checkpoint_key(): ["transient"]}}
+    proc = start_daemon(sock, state, faults=faults, shard_size=2,
+                        retries=0, shard_retries=1)
     try:
         response = client.submit(str(sock), specs, tenant="t")
         results = client.wait_results(str(sock),
@@ -120,11 +121,11 @@ def test_exhausted_tenant_is_degraded_and_locked_out(tmp_path):
     chaos_dir = state / "chaos"
     chaos_dir.mkdir(parents=True)
     doomed = _specs(2)
-    doomed[0] = wrap_spec(doomed[0],
-                          ("transient", "transient", "transient"),
-                          str(chaos_dir))
-    proc = start_daemon(sock, state, shard_size=2, retries=0,
-                        shard_retries=1, max_tenant_failures=0)
+    faults = {"dir": str(chaos_dir),
+              "plans": {doomed[0].checkpoint_key(): ["transient"] * 3}}
+    proc = start_daemon(sock, state, faults=faults, shard_size=2,
+                        retries=0, shard_retries=1,
+                        max_tenant_failures=0)
     try:
         response = client.submit(str(sock), doomed, tenant="bad")
         results = client.wait_results(str(sock),
@@ -137,8 +138,9 @@ def test_exhausted_tenant_is_degraded_and_locked_out(tmp_path):
             "proc.service.degraded_tenants") == 1
         with pytest.raises(client.ServiceError, match="degraded"):
             client.submit(str(sock), _specs(1), tenant="bad")
-        # Other tenants are unaffected.
-        ok = client.submit(str(sock), _specs(1), tenant="good")
+        # Other tenants are unaffected (on a target with no armed
+        # fault: faults are armed per target, not per tenant).
+        ok = client.submit(str(sock), _specs(2)[1:], tenant="good")
         assert client.wait_results(str(sock),
                                    ok["campaign"])["end"]["ok"]
     finally:

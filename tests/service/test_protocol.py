@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.runtime import CampaignSpec, chip_seed, wrap_spec
-from repro.runtime.chaos import ChaosSpec
+from repro.runtime import CampaignSpec, chip_seed
 from repro.service import campaign_id, spec_from_json, spec_to_json
 from repro.service.protocol import (ProtocolError, error_response,
                                     read_message, record_crc,
@@ -34,17 +33,6 @@ class TestSpecRoundTrip:
         wire = json.loads(json.dumps(spec_to_json(spec)))
         assert spec_from_json(wire) == spec
 
-    def test_chaos_wrapper_crosses_the_wire(self, tmp_path):
-        spec = wrap_spec(_spec(), ("transient",), str(tmp_path),
-                         hang_s=9.0)
-        rebuilt = spec_from_json(spec_to_json(spec))
-        assert isinstance(rebuilt, ChaosSpec)
-        assert rebuilt.plan == ("transient",)
-        assert rebuilt.chaos_dir == str(tmp_path)
-        assert rebuilt.hang_s == 9.0
-        # Fault plans never join the identity.
-        assert rebuilt.checkpoint_key() == _spec().checkpoint_key()
-
     def test_config_overrides_are_rejected(self):
         from repro.core import ParborConfig
         spec = _spec(config=ParborConfig())
@@ -63,6 +51,17 @@ class TestSpecRoundTrip:
         ({"experiment": "nope", "vendor": "A"}, "invalid spec"),
         ({"experiment": "characterize", "vendor": "A",
           "chaos": {"plan": ["crash"]}}, "chaos"),
+        ({"experiment": "characterize", "vendor": "A",
+          "chaos": {"plan": ["crash"], "dir": "/tmp"}}, "unknown"),
+        ({"experiment": "characterize", "vendor": "Z"}, "invalid spec"),
+        ({"experiment": "characterize", "vendor": "A", "n_rows": 0},
+         "invalid spec"),
+        ({"experiment": "characterize", "vendor": "A", "n_rows": -5},
+         "invalid spec"),
+        ({"experiment": "characterize", "vendor": "A", "rounds": 0},
+         "invalid spec"),
+        ({"experiment": "characterize", "vendor": "A",
+          "sample_size": -1}, "invalid spec"),
     ])
     def test_strict_validation(self, payload, match):
         with pytest.raises(ProtocolError, match=match):
@@ -80,12 +79,6 @@ class TestCampaignId:
         assert campaign_id("t1", specs) != campaign_id("t2", specs)
         assert (campaign_id("t1", specs)
                 != campaign_id("t1", specs[:1]))
-
-    def test_chaos_wrapping_does_not_change_identity(self, tmp_path):
-        specs = [_spec("A"), _spec("B")]
-        wrapped = [wrap_spec(s, ("crash",), str(tmp_path))
-                   for s in specs]
-        assert campaign_id("t", wrapped) == campaign_id("t", specs)
 
 
 class TestRecordCrc:

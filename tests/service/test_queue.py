@@ -6,9 +6,10 @@ import json
 import pytest
 
 from repro import obs
-from repro.runtime import CampaignSpec, chip_seed, corrupt_queue_record
+from repro.runtime import CampaignSpec, chip_seed
 from repro.service import DurableQueue, partition_shards
 from repro.service.protocol import record_crc
+from tests.chaos.harness import corrupt_queue_record
 
 
 def _specs(n=3):
