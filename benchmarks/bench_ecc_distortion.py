@@ -6,7 +6,8 @@ recovery (``ecc="recover"``) - then reports how much of the raw
 failure profile the lens hides, confirms the recovered profile is
 byte-identical to the ECC-off truth, and bounds the cost of the
 decode stage: the lens campaign must stay under 1.5x the ECC-off
-wall clock.
+wall clock, and the recover campaign - BEER inference and validation
+included - under 4x.
 """
 
 import time
@@ -23,6 +24,7 @@ KW = dict(experiment="characterize", vendor="A", build_seed=7,
           run_seed=2016, n_rows=96, sample_size=1000, run_sweep=True)
 
 MAX_OVERHEAD = 1.5
+MAX_RECOVER_OVERHEAD = 4.0
 
 
 def _timed(spec):
@@ -50,6 +52,9 @@ def test_ecc_distortion(benchmark):
     ratio_rec = t_rec / t_base if t_base > 0 else 1.0
     assert ratio_lens < MAX_OVERHEAD, (
         f"ECC lens overhead {ratio_lens:.2f}x exceeds {MAX_OVERHEAD}x")
+    assert ratio_rec < MAX_RECOVER_OVERHEAD, (
+        f"ECC recover overhead {ratio_rec:.2f}x exceeds "
+        f"{MAX_RECOVER_OVERHEAD}x")
 
     timing = format_table(
         ["Configuration", "Wall clock", "vs ECC-off"],

@@ -18,10 +18,11 @@ column (if any) the syndrome matches, so the recovered basis predicts
 the device's decode actions on data bits exactly.
 
 De-noising: probe words also carry real retention failures.  Every
-triple is planted at two slots (row ``r`` and row ``r + n_rows/2``,
-same word index) in the same round and a relation is accepted only
-when both slots report the *identical* outcome - real-failure
-contamination is word-local and cannot replicate across the pair.
+triple is planted in :data:`COPIES` decoupled words (different rows
+and word indices) in the same round and a relation is accepted only
+when every copy reports the *identical* outcome - real-failure
+contamination is word-local and rarely replicates across the copies
+(``docs/ECC.md`` §5 records the one forgery seen).
 Backgrounds cycle solid-0 / checkered / solid-1 / row-stripe per the
 BEER pattern recipe (solids keep data-dependent failures quiet, the
 striped rounds prove inference survives contamination).
@@ -37,15 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .._kernels import popcount
 from ..core.patterns import checkerboard, solid
 from ..dram.faults import ForcedFlipNoise
 from ..runtime.seeds import ladder_seed
 from .secded import (DATA_BITS, CHECK_BITS, HammingSecDed, NO_MATCH,
-                     decode_with_tables)
+                     syndromes)
 
 __all__ = ["InferredEcc", "EccInferenceReport", "infer_ecc",
            "validate_inference", "beer_backgrounds", "TARGET_RANK"]
@@ -166,11 +168,6 @@ class InferredEcc:
         true_rref, _ = _rref(int(m) for m in code.row_masks)
         return tuple(self.basis) == true_rref
 
-    def predict(self, errors: FrozenSet[int]) -> FrozenSet[int]:
-        """Predicted post-correction view of a data-bit error set."""
-        cols, lookup = self._tables
-        return decode_with_tables(frozenset(errors), cols, lookup)[0]
-
 
 @dataclass
 class EccInferenceReport:
@@ -191,16 +188,23 @@ class EccInferenceReport:
 
 # -- probing --------------------------------------------------------------
 
+#: Outcome code of a probe word that reads back exactly its triple (the
+#: decoder flagged it and left it).  Codes 0..63 are miscorrection
+#: flips onto that in-word bit; anything else is :data:`DIRTY`.
+DETECT = 64
+DIRTY = -1
+
+
 def _probe_round(chip, seed: int, *path) -> Tuple[
-        List[Tuple[int, int]], np.ndarray,
-        Dict[Tuple[int, int], FrozenSet[int]]]:
+        np.ndarray, np.ndarray, np.ndarray]:
     """One probe round: plant replicated triples, read through the ECC.
 
-    Returns ``(slots, triples, observed)``: per slot ``s`` the word
-    coordinate ``(row, word)`` of its primary copy (copy ``k`` lives
-    at row ``row + k*n_rows/COPIES``, word
-    ``(word + k*n_words/COPIES) % n_words``), the planted triple, and
-    the post-ECC in-word error sets of every observed word.
+    Returns ``(triples, rows, phys)``: the ``(n_slots, 3)`` sorted
+    in-word triples, and the row and physical column of every cell
+    the post-ECC read observed wrong.  Slot ``s`` has its primary copy
+    at ``(row, word) = divmod(s, n_words)``; copy ``k`` lives at row
+    ``row + k*n_rows/COPIES``, word ``(word + k*n_words/COPIES) %
+    n_words``.
 
     The copies deliberately sit in *different words and rows* so they
     share no physical cells or columns: decode behavior depends only
@@ -243,52 +247,70 @@ def _probe_round(chip, seed: int, *path) -> Tuple[
         obs_rows, obs_sys = bank.retention_failures()
     finally:
         bank.noise = None
-
-    obs_phys = bank.mapping.sys_to_phys()[obs_sys]
-    observed: Dict[Tuple[int, int], FrozenSet[int]] = {}
-    grouped: Dict[Tuple[int, int], List[int]] = {}
-    for r, p in zip(obs_rows.tolist(), obs_phys.tolist()):
-        grouped.setdefault((int(r), int(p) >> 6), []).append(int(p) & 63)
-    for key, bits in grouped.items():
-        observed[key] = frozenset(bits)
-
-    slots = list(zip(slot_rows.tolist(), slot_words.tolist()))
-    return slots, triples, observed
+    return triples, obs_rows, bank.mapping.sys_to_phys()[obs_sys]
 
 
-def _classify(observed: FrozenSet[int], triple: FrozenSet[int]) -> Tuple:
-    """Outcome of one probed word: detect / miscorrection-flip / dirty."""
-    if observed == triple:
-        return ("detect",)
-    if len(observed) == len(triple) + 1 and triple < observed:
-        return ("flip", min(observed - triple))
-    return ("dirty",)
+def _outcome_codes(observed: np.ndarray, triples: np.ndarray
+                   ) -> np.ndarray:
+    """Classify probed words by mask: detect / flip bit / dirty.
+
+    A word reading back its triple is :data:`DETECT`; its triple plus
+    exactly one more bit is a miscorrection flip onto that bit; any
+    other view is :data:`DIRTY`.
+    """
+    extra = observed & ~triples
+    flip = ((observed & triples) == triples) & (popcount(extra) == 1)
+    codes = np.full(len(observed), DIRTY, dtype=np.int64)
+    codes[observed == triples] = DETECT
+    # The index of a lone set bit is the popcount of the bits below it.
+    codes[flip] = popcount(extra[flip] - np.uint64(1)).astype(np.int64)
+    return codes
 
 
-def _paired_outcomes(chip, seed: int, *path):
+def _paired_outcomes(chip, seed: int, *path
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Replica-confirmed probe outcomes of one round.
 
-    A slot's outcome counts only when all :data:`COPIES` decoupled
-    copies classify identically and none is dirty.
+    Returns ``(triples, outcomes)`` over the confirmed slots in slot
+    order: each planted triple as a ``uint64`` in-word mask, and its
+    outcome code (:data:`DETECT` or the miscorrected bit).  A slot
+    counts only when all :data:`COPIES` decoupled copies classify
+    identically and none is dirty.
     """
-    slots, triples, observed = _probe_round(chip, seed, *path)
+    triples, rows, phys = _probe_round(chip, seed, *path)
     bank = chip.banks[0]
     stride = bank.n_rows // COPIES
     n_words = bank.row_bits >> 6
-    outcomes = []
-    for s, (row, word) in enumerate(slots):
-        triple = frozenset(int(t) for t in triples[s])
-        classes = {
-            _classify(observed.get(
-                (row + k * stride,
-                 (word + k * (n_words // COPIES)) % n_words),
-                frozenset()), triple)
-            for k in range(COPIES)}
-        if len(classes) == 1:
-            outcome = classes.pop()
-            if outcome[0] != "dirty":
-                outcomes.append((triple, outcome))
-    return outcomes
+    grid = np.zeros((bank.n_rows, n_words), dtype=np.uint64)
+    np.bitwise_or.at(grid, (rows, phys >> 6),
+                     np.uint64(1) << (phys & 63).astype(np.uint64))
+    masks = np.bitwise_or.reduce(
+        np.uint64(1) << triples.astype(np.uint64), axis=1)
+    slot_rows, slot_words = np.divmod(np.arange(len(masks)), n_words)
+    codes = np.stack([
+        _outcome_codes(grid[slot_rows + k * stride,
+                            (slot_words + k * (n_words // COPIES))
+                            % n_words], masks)
+        for k in range(COPIES)])
+    confirmed = (codes == codes[0]).all(axis=0) & (codes[0] != DIRTY)
+    return masks[confirmed], codes[0][confirmed]
+
+
+def _predict_outcomes(inferred: InferredEcc, triples: np.ndarray
+                      ) -> np.ndarray:
+    """Outcome codes the recovered code predicts for planted triples.
+
+    The basis rows act as syndrome row masks: bit ``i`` of a triple's
+    syndrome is the parity of ``triple & basis[i]`` - the XOR of the
+    recovered columns of its bits.
+    """
+    _, lookup = inferred.tables()
+    synd = syndromes(triples, inferred.basis)
+    match = lookup[synd]
+    fix = (synd != 0) & (match >= 0)
+    predicted = triples.copy()
+    predicted[fix] ^= np.uint64(1) << match[fix].astype(np.uint64)
+    return _outcome_codes(predicted, triples)
 
 
 def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
@@ -313,13 +335,12 @@ def infer_ecc(chip, seed: int, max_rounds: int = 24) -> InferredEcc:
     rounds = 0
     for round_idx in range(max_rounds):
         rounds += 1
-        for triple, outcome in _paired_outcomes(chip, seed, round_idx):
-            if outcome[0] != "flip":
-                continue
-            mask = 0
-            for p in triple | {outcome[1]}:
-                mask |= 1 << p
-            relations += 1
+        triples, outcomes = _paired_outcomes(chip, seed, round_idx)
+        flips = outcomes != DETECT
+        found = triples[flips] | (
+            np.uint64(1) << outcomes[flips].astype(np.uint64))
+        relations += len(found)
+        for mask in found.tolist():
             while mask:
                 pivot = mask.bit_length() - 1
                 if pivot in elim:
@@ -350,7 +371,7 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
     """Held-out behavioral validation of an inference.
 
     Runs fresh probe rounds and requires the recovered tables to
-    predict every dual-slot-confirmed outcome exactly.  Fails closed:
+    predict every replica-confirmed outcome exactly.  Fails closed:
     a structurally-invalid basis, too few confirmable slots, or a
     single mismatch all yield ``ok=False``.
     """
@@ -360,12 +381,11 @@ def validate_inference(chip, inferred: InferredEcc, seed: int,
             inferred=inferred)
     checked = mismatches = 0
     for round_idx in range(rounds):
-        for triple, outcome in _paired_outcomes(
-                chip, seed, "validate", round_idx):
-            predicted = _classify(inferred.predict(triple), triple)
-            checked += 1
-            if predicted != outcome:
-                mismatches += 1
+        triples, outcomes = _paired_outcomes(
+            chip, seed, "validate", round_idx)
+        predicted = _predict_outcomes(inferred, triples)
+        checked += len(triples)
+        mismatches += int(np.count_nonzero(predicted != outcomes))
     ok = mismatches == 0 and checked >= min_checked
     reason = ("" if ok else
               f"{mismatches}/{checked} held-out mismatches"

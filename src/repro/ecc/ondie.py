@@ -32,19 +32,25 @@ it exact and cheap (full rationale in ``docs/ECC.md``):
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
 from .. import obs
-from .secded import (CORRECTED, CORRECTED_CHECK, DETECTED, HammingSecDed,
-                     MISCORRECTED, UNDETECTED, decode_with_tables)
+from .._kernels import popcount, unpack_rows
+from .secded import (CLEAN, CORRECTED, CORRECTED_CHECK, DETECTED,
+                     HammingSecDed, decode_with_tables)
 
 __all__ = ["OnDieEcc", "attach_on_die_ecc"]
 
 #: Forced read-time corruption positions of the recovery probe passes:
 #: one plain pass plus one companion pass per low in-word bit.
 COMPANION_PASSES = (frozenset(), frozenset({0}), frozenset({1}))
+
+
+def _bit_masks(phys: np.ndarray) -> np.ndarray:
+    """The ``uint64`` in-word mask of each physical cell."""
+    return np.uint64(1) << (phys & 63).astype(np.uint64)
 
 
 class OnDieEcc:
@@ -127,98 +133,95 @@ class OnDieEcc:
         noise_phys = noise_phys.astype(np.int64, copy=False)
         ekey = rows * n_words + (phys >> np.int64(6))
         nkey = noise_rows * n_words + (noise_phys >> np.int64(6))
-        words, wcounts = np.unique(np.concatenate([ekey, nkey]),
-                                   return_counts=True)
+        words, inverse, wcounts = np.unique(
+            np.concatenate([ekey, nkey]), return_inverse=True,
+            return_counts=True)
+        # Each word's physical error set as one mask: the flip events
+        # XOR-reduced, the noise cells ORed in.
+        errs = np.zeros(len(words), dtype=np.uint64)
+        np.bitwise_xor.at(errs, inverse[:len(rows)], _bit_masks(phys))
+        np.bitwise_or.at(errs, inverse[len(rows):], _bit_masks(noise_phys))
         recover = self._rec_tables is not None
         c = self.counts
-        keep_events = np.full(len(rows), recover)
-        keep_noise = np.full(len(noise_rows), recover)
-        add_rows: List[np.ndarray] = []
-        add_phys: List[np.ndarray] = []
 
-        # Fast path: words with a single input are a single-cell error
-        # set.  Lens: always corrected away (masking).  Recovery:
-        # always uniquely inverted (the companion passes turn it into
-        # a 2-error, hence detected-not-corrected, word).
-        single = wcounts == 1
-        n_single = int(single.sum())
-        c["words"] += n_single
-        if n_single:
-            if recover:
-                c["recovered_words"] += n_single
-            else:
-                c["masked"] += n_single
-                c["corrected_words"] += n_single
-        multi = words[~single]
-        if len(multi):
-            eorder = np.argsort(ekey, kind="stable")
-            norder = np.argsort(nkey, kind="stable")
-            ekey_s = ekey[eorder]
-            nkey_s = nkey[norder]
-            for w in multi.tolist():
-                ei = eorder[np.searchsorted(ekey_s, w, "left"):
-                            np.searchsorted(ekey_s, w, "right")]
-                ni = norder[np.searchsorted(nkey_s, w, "left"):
-                            np.searchsorted(nkey_s, w, "right")]
-                row = int(w // n_words)
-                word_base = int(w % n_words) << 6
-                odd = np.bincount(phys[ei] & 63, minlength=64) & 1
-                errs = set(np.flatnonzero(odd).tolist())
-                errs.update((noise_phys[ni] & 63).tolist())
-                if recover:
-                    if not errs:
-                        # Every event cancelled: the device saw a clean
-                        # word, the inversion is trivially exact, and
-                        # the raw events pass through verbatim.
-                        continue
-                    c["words"] += 1
-                    reals, unsure = self._recover_word(frozenset(errs))
-                    if not unsure:
-                        c["recovered_words"] += 1
-                        continue
-                    c["ambiguous_cells"] += len(unsure)
-                    for p in unsure:
-                        self.ambiguous.add((row, word_base + p))
-                    keep_events[ei] = False
-                    keep_noise[ni] = False
-                    kept = reals
-                else:
-                    if not errs:
-                        continue
-                    c["words"] += 1
-                    observed, status = self.code.decode_error_set(
-                        frozenset(errs))
-                    c["masked"] += len(errs - observed)
-                    c["miscorrections"] += len(observed - errs)
-                    if status in (CORRECTED, MISCORRECTED):
-                        c["corrected_words"] += 1
-                    elif status in (DETECTED, CORRECTED_CHECK):
-                        c["detected_words"] += 1
-                    elif status == UNDETECTED:
-                        c["undetected"] += 1
-                    kept = observed
-                if kept:
-                    pos = np.fromiter(
-                        (word_base + p for p in sorted(kept)),
-                        dtype=np.int64, count=len(kept))
-                    add_rows.append(np.full(len(kept), row,
-                                            dtype=np.int64))
-                    add_phys.append(pos)
+        # A single-input word is a single-cell error set: always masked
+        # by the lens, always uniquely inverted by recovery (a companion
+        # pass makes it a detected double).  A word whose events all
+        # cancelled is clean: not counted, passed through by recovery.
+        n_single = int(np.count_nonzero(wcounts == 1))
+        multi = (wcounts > 1) & (errs != 0)
+        words, errs = words[multi], errs[multi]
+        c["words"] += n_single + len(words)
+        if recover:
+            c["recovered_words"] += n_single
+            kept, dropped = self._recover_words(words, errs, n_words)
+            keep_events = ~np.isin(ekey, dropped)
+            keep_noise = ~np.isin(nkey, dropped)
+            out_rows = rows[keep_events]
+            out_phys = phys[keep_events]
+        else:
+            c["masked"] += n_single
+            c["corrected_words"] += n_single
+            kept = self._decode_words(errs)
+            keep_noise = np.zeros(len(noise_rows), dtype=bool)
+            out_rows = out_phys = np.empty(0, dtype=np.int64)
         if obs.enabled():
             for name, value in self.counts.items():
                 delta = value - self._flushed[name]
                 if delta:
                     obs.inc(f"profile.ecc.{name}", delta)
                 self._flushed[name] = value
-        out_rows = rows[keep_events]
-        out_phys = phys[keep_events]
-        if add_rows:
-            out_rows = np.concatenate([out_rows, *add_rows])
-            out_phys = np.concatenate([out_phys, *add_phys])
+        if kept.any():
+            # Word-ascending, bit-ascending: the order cells are kept in.
+            cells = np.flatnonzero(unpack_rows(kept[:, None], 64))
+            idx, bit = cells >> 6, cells & 63
+            out_rows = np.concatenate([out_rows, words[idx] // n_words])
+            out_phys = np.concatenate(
+                [out_phys, (words[idx] % n_words) * 64 + bit])
         return (out_rows, out_phys,
                 noise_rows[keep_noise], noise_phys[keep_noise])
 
+    def _decode_words(self, errs: np.ndarray) -> np.ndarray:
+        """Lens-decode error masks at once; return the observed masks.
+        Check bits never decay, so a zero check byte gives each mask's
+        syndrome: the XOR of the ``H`` columns of its failed bits."""
+        if not len(errs):
+            return errs
+        observed, status = self.code.decode_words(
+            errs, np.zeros(len(errs), dtype=np.uint8))
+        c = self.counts
+        c["masked"] += int(popcount(errs & ~observed).sum())
+        c["miscorrections"] += int(popcount(observed & ~errs).sum())
+        # A correction onto a healthy bit (a miscorrection) still counts
+        # as a corrected word; a zero syndrome is an undetected escape.
+        n = np.bincount(status, minlength=DETECTED + 1)
+        c["corrected_words"] += int(n[CORRECTED])
+        c["detected_words"] += int(n[DETECTED] + n[CORRECTED_CHECK])
+        c["undetected"] += int(n[CLEAN])
+        return observed
+
     # -- recovery -----------------------------------------------------
+
+    def _recover_words(self, words: np.ndarray, errs: np.ndarray,
+                       n_words: np.int64) -> Tuple[np.ndarray, np.ndarray]:
+        """Invert each multi-input word; return ``(kept, dropped)``: per
+        word the mask of provably-real cells to emit instead of its raw
+        inputs (zero if recovered), and the words whose inputs drop."""
+        c = self.counts
+        kept = np.zeros(len(words), dtype=np.uint64)
+        unsure_at = []
+        for i, (w, mask) in enumerate(zip(words.tolist(), errs.tolist())):
+            reals, unsure = self._recover_word(
+                frozenset(p for p in range(64) if mask >> p & 1))
+            if not unsure:
+                c["recovered_words"] += 1
+                continue
+            c["ambiguous_cells"] += len(unsure)
+            row, word_base = int(w // n_words), int(w % n_words) << 6
+            self.ambiguous.update((row, word_base + p) for p in unsure)
+            kept[i] = sum(1 << p for p in reals)
+            unsure_at.append(i)
+        return kept, words[unsure_at]
 
     def _recover_word(self, errs: frozenset
                       ) -> Tuple[Set[int], Set[int]]:

@@ -36,7 +36,8 @@ import numpy as np
 from .._kernels import popcount
 from ..runtime.seeds import ladder_seed
 
-__all__ = ["HammingSecDed", "decode_with_tables", "CANDIDATE_COLUMNS",
+__all__ = ["HammingSecDed", "decode_with_tables", "syndromes",
+           "CANDIDATE_COLUMNS",
            "DATA_BITS", "CHECK_BITS", "CLEAN", "CORRECTED",
            "CORRECTED_CHECK", "DETECTED", "UNDETECTED", "MISCORRECTED",
            "NO_MATCH", "CHECK_COLUMN"]
@@ -62,6 +63,22 @@ NO_MATCH = -1
 CHECK_COLUMN = -2
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def syndromes(words: np.ndarray, row_masks) -> np.ndarray:
+    """Bit ``k`` of each result is ``parity(word & row_masks[k])``.
+
+    The one evaluator of syndrome rows over packed words: the code's
+    own rows (:meth:`HammingSecDed.encode_words`,
+    :meth:`HammingSecDed.syndrome_words`) and a recovered basis
+    (``repro.ecc.beer``) both go through it.  At most 8 rows.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    out = np.zeros(words.shape, dtype=np.uint8)
+    for k, mask in enumerate(row_masks):
+        out |= (popcount(words & np.uint64(mask)) & np.uint64(1)
+                ).astype(np.uint8) << np.uint8(k)
+    return out
 
 
 def decode_with_tables(errors: FrozenSet[int], columns: Tuple[int, ...],
@@ -190,11 +207,7 @@ class HammingSecDed:
         ``c_7 = parity(word) ^ parity(c_0..c_6)``.
         """
         words = np.asarray(words, dtype=np.uint64)
-        checks = np.zeros(words.shape, dtype=np.uint8)
-        for k in range(7):
-            bit = (popcount(words & self.row_masks[k])
-                   & np.uint64(1)).astype(np.uint8)
-            checks |= bit << np.uint8(k)
+        checks = syndromes(words, self.row_masks[:7])
         total = (popcount(words) & np.uint64(1)).astype(np.uint8)
         c7 = (total + _POP8[checks]) & np.uint8(1)
         return checks | (c7 << np.uint8(7))
@@ -204,12 +217,8 @@ class HammingSecDed:
         """Received syndromes of stored (data word, check byte) pairs."""
         words = np.asarray(words, dtype=np.uint64)
         checks = np.asarray(checks, dtype=np.uint8)
-        synd = np.zeros(words.shape, dtype=np.uint8)
-        for k in range(7):
-            data_par = (popcount(words & self.row_masks[k])
-                        & np.uint64(1)).astype(np.uint8)
-            stored = (checks >> np.uint8(k)) & np.uint8(1)
-            synd |= (data_par ^ stored) << np.uint8(k)
+        synd = syndromes(words, self.row_masks[:7]) ^ (checks
+                                                       & np.uint8(0x7F))
         total = (popcount(words) & np.uint64(1)).astype(np.uint8)
         s7 = (total + _POP8[checks]) & np.uint8(1)
         return synd | (s7 << np.uint8(7))

@@ -23,6 +23,10 @@ from repro.dram.faults import DeviceNoiseModel, NoiseSpec
 from repro.runtime.seeds import ladder_seed
 
 
+#: References of the on-die ECC stage (see ``repro._oracle``).
+ECC_REFERENCES = {"transform_read", "paired_outcomes", "predict_outcomes"}
+
+
 def _chip(vendor_name="A", seed=5, n_rows=32):
     return vendor(vendor_name).make_chip(seed=seed, n_rows=n_rows)
 
@@ -195,7 +199,10 @@ def test_campaign_identical_to_reference(vendor_name, robust):
     fast = run_parbor(make(vendor_name, seed=17, n_rows=32), cfg,
                       seed=18, **kwargs)
 
-    idle = sorted(name for name, n in hits.items() if n == 0)
+    # The on-die ECC references only run under an ECC stage; they are
+    # proven by tests/ecc/test_ecc_differential.py.
+    idle = sorted(name for name, n in hits.items()
+                  if n == 0 and name not in ECC_REFERENCES)
     assert not idle, f"reference loops never ran: {idle}"
     assert ref.distances == fast.distances
     assert ref.detected == fast.detected
